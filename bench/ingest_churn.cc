@@ -86,8 +86,9 @@ double MedianQError(const core::ServableModel& model,
   return util::Quantile(std::move(errors), 0.5);
 }
 
-std::string ShardParams(const shard::ShardedUae& model, int s) {
-  return nn::SerializeParams(model.shard_model(s).model().Parameters());
+std::string ShardParams(const shard::ShardedServable& model, int s) {
+  const auto& uae = dynamic_cast<const core::Uae&>(model.shard_model(s));
+  return nn::SerializeParams(uae.model().Parameters());
 }
 
 int Run(int argc, char** argv) {
@@ -260,7 +261,7 @@ int Run(int argc, char** argv) {
   }
 
   // Untouched shards must ride through the refresh bitwise identical.
-  std::shared_ptr<const shard::ShardedUae> refreshed = ctrl.current_base();
+  std::shared_ptr<const shard::ShardedServable> refreshed = ctrl.current_base();
   std::unordered_set<int> touched(refresh.refreshed_shards.begin(),
                                   refresh.refreshed_shards.end());
   if (touched.size() == static_cast<size_t>(opt.shards)) {

@@ -52,6 +52,7 @@
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "workload/generator.h"
+#include "workload/metrics.h"
 
 namespace uae::bench {
 namespace {
@@ -115,9 +116,7 @@ SpikeOutcome ReplaySpike(const std::vector<const workload::Query*>& stream,
     }
     const double est = serve(*stream[i]);
     latencies[i] = static_cast<double>((NowMicros() - start) - arrival_us[i]);
-    const double e = std::max(1.0, est);
-    const double t = std::max(1.0, truths[i]);
-    qerrs[i] = std::max(e / t, t / e);
+    qerrs[i] = workload::QError(est, truths[i]);
   }
   SpikeOutcome out;
   out.p50_us = util::Quantile(latencies, 0.5);

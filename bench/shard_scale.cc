@@ -146,16 +146,17 @@ int Run(int argc, char** argv) {
   double unpruned_qps = MeasureQps(opt.reps, queries.size(),
                                    [&] { return sharded.EstimateCards(queries); });
   sharded.set_prune(true);
-  shard::ShardedUae::FanoutStats before = sharded.fanout_stats();
   std::vector<double> pruned_cards = sharded.EstimateCards(queries);
   double pruned_qps = MeasureQps(opt.reps, queries.size(),
                                  [&] { return sharded.EstimateCards(queries); });
   std::vector<double> mono_cards = mono.EstimateCards(queries);
 
-  shard::ShardedUae::FanoutStats fs = sharded.fanout_stats();
-  double fanout =
-      static_cast<double>(fs.evaluated - before.evaluated) /
-      std::max<double>(1.0, static_cast<double>(fs.queries - before.queries));
+  size_t evaluated = 0;
+  for (const workload::Query& q : queries) {
+    evaluated += sharded.partitioner().CandidateShards(q).size();
+  }
+  double fanout = static_cast<double>(evaluated) /
+                  std::max<double>(1.0, static_cast<double>(queries.size()));
   std::printf("  unpruned        : %8.1f q/s  (fan-out %d, median q-err %.2f)\n",
               unpruned_qps, opt.shards, MedianQError(unpruned_cards, truths));
   std::printf("  pruned          : %8.1f q/s  (%.2fx unpruned, median q-err %.2f)\n",

@@ -75,7 +75,7 @@ int main() {
   std::printf("full fan-out   : %.2fs, mean q-error %.2f\n", full_s,
               full_err / static_cast<double>(queries.size()));
 
-  // 4. Serve it: a ShardedUae snapshot hot-swaps like any other model.
+  // 4. Serve it: a sharded snapshot hot-swaps like any other model.
   serve::EstimationService service(model);
   serve::ServeResult first = service.Estimate(queries[0]);
   std::printf("served generation %llu: card %.1f\n",
@@ -95,8 +95,7 @@ int main() {
     lq.card = static_cast<double>(workload::ExecuteCount(table, lq.query));
     feedback.push_back(lq);
   }
-  auto candidate =
-      std::static_pointer_cast<shard::ShardedUae>(model->CloneServable());
+  std::shared_ptr<shard::ShardedServable> candidate = model->Clone();
   core::FineTuneSpec spec;
   spec.query_steps = 40;
   size_t used = candidate->FineTune(feedback, spec);

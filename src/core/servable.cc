@@ -20,4 +20,10 @@ std::vector<double> ServableModel::EstimateJoinCards(
   return {};
 }
 
+void ServableModel::IngestDataRows(const data::Table& delta, int epochs) {
+  (void)delta;
+  (void)epochs;
+  UAE_CHECK(false) << "IngestDataRows on a model without data ingest";
+}
+
 }  // namespace uae::core

@@ -4,13 +4,13 @@
 // hot-swap is any mutable clone that can fine-tune on labeled feedback.
 //
 // Implementations: the monolithic core::Uae (one autoregressive model over
-// one table, the paper's setting), shard::ShardedUae (one model per
-// horizontal partition with pruned fan-out), estimators::SpnServable (the
-// query-driven SPN backend), shard::ShardedServable (per-shard instances of
-// any factory-built servable), router::HybridRouter (a servable fronting a
-// zoo of backends), and estimators::ServableEstimatorAdapter (read-only lift
-// of a zoo estimator). The serving and adaptation layers are written against
-// this interface so any deployment hot-swaps and self-repairs the same way.
+// one table, the paper's setting), estimators::SpnServable (the query-driven
+// SPN backend), shard::ShardedServable (one factory-built servable per
+// horizontal partition with pruned fan-out), router::HybridRouter (a
+// servable fronting a zoo of backends), and
+// estimators::ServableEstimatorAdapter (read-only lift of a zoo estimator).
+// The serving and adaptation layers are written against this interface so
+// any deployment hot-swaps and self-repairs the same way.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,10 @@
 #include <vector>
 
 #include "workload/query.h"
+
+namespace uae::data {
+class Table;  // data/table.h; kept out of this header's include graph.
+}  // namespace uae::data
 
 namespace uae::workload {
 struct JoinQuery;  // join_workload.h; kept out of this header's include graph.
@@ -69,6 +73,13 @@ class ServableModel {
   /// Batched variant; element i is bit-identical to EstimateJoinCard(queries[i]).
   virtual std::vector<double> EstimateJoinCards(
       std::span<const workload::JoinQuery> queries) const;
+
+  // ---- Data ingest (optional capability) -----------------------------------
+  /// Appends `delta`'s rows to the model's training data and runs `epochs`
+  /// unsupervised epochs on the new rows only (§4.5 incremental data
+  /// update); num_rows() grows by delta.num_rows(). CHECK-fails unless the
+  /// backend learns from data (core::Uae does).
+  virtual void IngestDataRows(const data::Table& delta, int epochs);
 
   virtual size_t SizeBytes() const = 0;
   /// Rows of the underlying table (feedback selectivities derive from this).

@@ -23,7 +23,8 @@ const char* RefreshOutcomeName(RefreshOutcome outcome) {
 
 RefreshController::RefreshController(
     IngestService* ingest, serve::EstimationService* service,
-    std::shared_ptr<const shard::ShardedUae> base, const RefreshConfig& config)
+    std::shared_ptr<const shard::ShardedServable> base,
+    const RefreshConfig& config)
     : ingest_(ingest),
       service_(service),
       config_(config),
@@ -35,7 +36,8 @@ RefreshController::RefreshController(
 
 RefreshController::~RefreshController() { Stop(); }
 
-std::shared_ptr<const shard::ShardedUae> RefreshController::current_base() const {
+std::shared_ptr<const shard::ShardedServable> RefreshController::current_base()
+    const {
   std::lock_guard<std::mutex> lock(base_mu_);
   return base_;
 }
@@ -58,6 +60,10 @@ RefreshResult RefreshController::RefreshIfStale() {
 }
 
 RefreshResult RefreshController::RefreshShards(std::vector<int> shards) {
+  for (int s : shards) {
+    UAE_CHECK(s >= 0 && s < ingest_->num_shards())
+        << "RefreshShards: shard id " << s << " out of range";
+  }
   std::unique_lock<std::mutex> busy(busy_mu_, std::try_to_lock);
   if (!busy.owns_lock()) {
     RefreshResult result;
@@ -87,6 +93,7 @@ RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
   }
   const auto t0 = std::chrono::steady_clock::now();
   std::sort(shards.begin(), shards.end());
+  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
 
   const int n = ingest_->num_shards();
   std::vector<uint8_t> refresh_set(static_cast<size_t>(n), 0);
@@ -127,12 +134,10 @@ RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
 
   // Training phase, off the pin: clone the typed lineage head and ingest each
   // stale shard's delta (the other shards' parameters stay bit-identical).
-  std::shared_ptr<const shard::ShardedUae> lineage = current_base();
-  std::unique_ptr<shard::ShardedUae> candidate = lineage->Clone();
+  std::shared_ptr<shard::ShardedServable> refreshed = current_base()->Clone();
   for (size_t i = 0; i < deltas.size(); ++i) {
-    candidate->IngestShardRows(delta_shards[i], deltas[i], config_.data_epochs);
+    refreshed->IngestShardRows(delta_shards[i], deltas[i], config_.data_epochs);
   }
-  std::shared_ptr<shard::ShardedUae> refreshed(std::move(candidate));
   std::shared_ptr<core::ServableModel> servable = refreshed;
   if (!tail.empty()) {
     servable = std::make_shared<DeltaAwareModel>(refreshed, &ingest_->table(),

@@ -13,10 +13,12 @@
 //      in-domain delta rows (global row indices from its DeltaBuffer) into a
 //      dictionary-sharing snapshot table, and collect every overflow-carrying
 //      row (all shards) into the tail set.
-//   3. Clone the current base model (shard::ShardedUae::Clone — bit-identical
-//      parameters), then IngestShardRows per stale shard: §4.5 incremental
-//      data training on the new rows only. Untouched shards keep bitwise-
-//      identical parameters through clone + publish.
+//   3. Clone the current base model (shard::ShardedServable::Clone —
+//      bit-identical parameters), then IngestShardRows per stale shard: §4.5
+//      incremental data training on the new rows only, so the shard models
+//      must implement ServableModel::IngestDataRows (core::Uae does).
+//      Untouched shards keep bitwise-identical parameters through clone +
+//      publish.
 //   4. Wrap with ingest::DeltaAwareModel when the tail is non-empty (unseen
 //      values answer exactly), guard if configured, PublishSnapshot, and
 //      advance the refreshed shards' buffer watermarks.
@@ -40,7 +42,7 @@
 #include "ingest/service.h"
 #include "ingest/staleness.h"
 #include "serve/service.h"
-#include "shard/sharded_uae.h"
+#include "shard/sharded_servable.h"
 
 namespace uae::ingest {
 
@@ -95,7 +97,7 @@ class RefreshController {
   /// model the published snapshot was built from (the controller clones it,
   /// never mutates it).
   RefreshController(IngestService* ingest, serve::EstimationService* service,
-                    std::shared_ptr<const shard::ShardedUae> base,
+                    std::shared_ptr<const shard::ShardedServable> base,
                     const RefreshConfig& config = {});
   ~RefreshController();
   UAE_DISALLOW_COPY(RefreshController);
@@ -104,6 +106,7 @@ class RefreshController {
   RefreshResult RefreshIfStale();
   /// Refreshes an explicit shard set regardless of staleness (empty = all
   /// shards with pending rows). Still subject to the busy lock and guard.
+  /// CHECK-fails on an id outside [0, num_shards); duplicates are dropped.
   RefreshResult RefreshShards(std::vector<int> shards);
 
   /// Autonomous mode: polls RefreshIfStale() every period_ms until Stop().
@@ -113,7 +116,7 @@ class RefreshController {
 
   const StalenessMonitor& monitor() const { return monitor_; }
   /// Head of the typed lineage (latest refreshed model).
-  std::shared_ptr<const shard::ShardedUae> current_base() const;
+  std::shared_ptr<const shard::ShardedServable> current_base() const;
   RefreshStats Stats() const;
   const RefreshConfig& config() const { return config_; }
 
@@ -128,7 +131,7 @@ class RefreshController {
   StalenessMonitor monitor_;
 
   mutable std::mutex base_mu_;
-  std::shared_ptr<const shard::ShardedUae> base_;
+  std::shared_ptr<const shard::ShardedServable> base_;
 
   std::mutex busy_mu_;  ///< Max one refresh in flight (try_lock).
   mutable std::mutex stats_mu_;

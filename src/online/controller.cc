@@ -149,7 +149,7 @@ AdaptationResult AdaptationController::RunAdaptation(
 
   // Fine-tune a clone; the served snapshot keeps answering traffic untouched.
   // FineTune routes by model kind: a monolithic Uae trains on the whole
-  // slice, a ShardedUae refits only the shards the feedback targets. The
+  // slice, a ShardedServable refits only the shards the feedback targets. The
   // clone is paid before routability is known — an unroutable slice wastes
   // one parameter copy, bounded by the cooldown exactly like a guard
   // rejection wastes one fine-tune.

@@ -6,7 +6,7 @@
 // FeedbackCollector, splits it into a fine-tune slice and a held-out slice
 // (deterministic seeded split), clones the incumbent snapshot, runs
 // ServableModel::FineTune on the clone — the UAE-Q refinement of §4.5 for a
-// monolithic Uae; per-shard routed fine-tuning for a ShardedUae, so drift
+// monolithic Uae; per-shard routed fine-tuning for a ShardedServable, so drift
 // localized to one partition refits only that shard's model — and publishes
 // the candidate through EstimationService::PublishSnapshot.
 //
@@ -77,8 +77,9 @@ enum class AdaptOutcome {
   kSkippedNoFeedback,    ///< Buffer below min_feedback.
   kSkippedBusy,          ///< Another fine-tune is in flight.
   /// FineTune could not use any of the training slice (e.g. every feedback
-  /// query spans shards of a ShardedUae): the candidate is bit-identical to
-  /// the incumbent, so publishing it would only flush the result cache.
+  /// query spans shards of a ShardedServable): the candidate is
+  /// bit-identical to the incumbent, so publishing it would only flush the
+  /// result cache.
   kSkippedUnusableFeedback,
   kRejectedByGuard,      ///< Candidate was worse on the held-out slice.
   kPublished,            ///< Candidate accepted and hot-swapped.

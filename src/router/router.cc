@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "util/common.h"
+#include "workload/metrics.h"
 
 namespace uae::router {
 
@@ -15,14 +16,6 @@ uint64_t NowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Symmetric q-error with the usual 1-row floors (a zero-cardinality truth
-/// or estimate would otherwise make the ratio degenerate).
-double QError(double estimate, double truth) {
-  const double e = std::max(1.0, estimate);
-  const double t = std::max(1.0, truth);
-  return std::max(e / t, t / e);
 }
 
 }  // namespace
@@ -315,7 +308,8 @@ size_t HybridRouter::ObserveFeedback(
                                   : (state.on_alt && alt_ != nullptr
                                          ? Backend::kAlt
                                          : Backend::kPrimary);
-    const double served_q = QError(entry.estimated_card, entry.true_card);
+    const double served_q =
+        workload::QError(entry.estimated_card, entry.true_card);
     qerr_windows_[static_cast<size_t>(served_by)].Add(served_q,
                                                       config_.qerr_window);
     if (served_by == Backend::kPrimary) ema_update(Backend::kPrimary, served_q);
@@ -329,10 +323,11 @@ size_t HybridRouter::ObserveFeedback(
       // The kNN EMA always tracks the shadow value, whether or not the class
       // currently serves from kNN (the shadow is what promotion/demotion
       // must judge).
-      ema_update(Backend::kKnn, QError(std::exp(*knn_log), entry.true_card));
+      ema_update(Backend::kKnn,
+                 workload::QError(std::exp(*knn_log), entry.true_card));
     }
     const double floor_q =
-        QError(floor_->EstimateCard(entry.query), entry.true_card);
+        workload::QError(floor_->EstimateCard(entry.query), entry.true_card);
     ema_update(Backend::kFloor, floor_q);
     qerr_windows_[static_cast<size_t>(Backend::kFloor)].Add(
         floor_q, config_.qerr_window);
@@ -341,7 +336,7 @@ size_t HybridRouter::ObserveFeedback(
       // judge. (When the class already serves from the alt, the served
       // q-error above is the same signal; skip the duplicate window sample.)
       const double alt_q =
-          QError(alt_->EstimateCard(entry.query), entry.true_card);
+          workload::QError(alt_->EstimateCard(entry.query), entry.true_card);
       ema_update(Backend::kAlt, alt_q);
       if (served_by != Backend::kAlt) {
         qerr_windows_[static_cast<size_t>(Backend::kAlt)].Add(

@@ -70,7 +70,7 @@ class EstimationService {
  public:
   /// Starts the dispatcher thread over the initial model snapshot
   /// (generation 1). The service shares ownership of the model (any
-  /// core::ServableModel — monolithic Uae or ShardedUae).
+  /// core::ServableModel — monolithic Uae or ShardedServable).
   EstimationService(std::shared_ptr<const core::ServableModel> initial_model,
                     const ServiceConfig& config = {});
   ~EstimationService();

@@ -1,7 +1,7 @@
 // Hot-swappable model snapshots for the estimation service.
 //
 // A ModelSnapshot is an immutable (generation, frozen model) pair; the model
-// is any core::ServableModel — the monolithic Uae or a ShardedUae, whose
+// is any core::ServableModel — the monolithic Uae or a ShardedServable, whose
 // snapshot is a vector of per-shard parameter sets published as one
 // generation-atomic unit. The SnapshotSlot holds the currently-published
 // snapshot behind an atomic std::shared_ptr: readers grab a reference with

@@ -39,8 +39,12 @@ ShardedServable::ShardedServable(const ShardedServable& other)
   for (const auto& m : other.models_) models_.push_back(m->CloneServable());
 }
 
+std::unique_ptr<ShardedServable> ShardedServable::Clone() const {
+  return std::unique_ptr<ShardedServable>(new ShardedServable(*this));
+}
+
 std::shared_ptr<core::ServableModel> ShardedServable::CloneServable() const {
-  return std::shared_ptr<core::ServableModel>(new ShardedServable(*this));
+  return std::shared_ptr<core::ServableModel>(Clone());
 }
 
 double ShardedServable::EstimateCard(const workload::Query& query) const {
@@ -57,9 +61,8 @@ double ShardedServable::EstimateCard(const workload::Query& query) const {
 
 std::vector<double> ShardedServable::EstimateCards(
     std::span<const workload::Query> queries) const {
-  // Same shard-ascending grouped fan-out as ShardedUae::EstimateCards: each
-  // shard answers one batched call, accumulation order matches the pruned
-  // per-query sum, so batching cannot change bits.
+  // Each shard answers one batched call; accumulation order matches the
+  // pruned per-query sum, so batching cannot change bits.
   const size_t n_q = queries.size();
   const size_t n_s = models_.size();
   std::vector<double> cards(n_q, 0.0);
@@ -91,6 +94,12 @@ size_t ShardedServable::SizeBytes() const {
   size_t total = 0;
   for (const auto& m : models_) total += m->SizeBytes();
   return total;
+}
+
+void ShardedServable::IngestShardRows(int s, const data::Table& delta,
+                                      int epochs) {
+  models_[static_cast<size_t>(s)]->IngestDataRows(delta, epochs);
+  num_rows_ += delta.num_rows();
 }
 
 size_t ShardedServable::RouteWorkload(

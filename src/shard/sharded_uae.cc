@@ -1,274 +1,32 @@
 #include "shard/sharded_uae.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "core/quant.h"
 #include "util/threadpool.h"
 
 namespace uae::shard {
 
-namespace {
-
-/// Frozen int8 counterpart of a ShardedUae: one core::QuantizedUae per shard,
-/// sharing the source deployment's partitioner and pruning rule. Immutable —
-/// FineTune reports 0 so adaptation controllers treat it as untrainable.
-class QuantizedShardedUae : public core::ServableModel {
- public:
-  QuantizedShardedUae(const ShardedUae& source,
-                      std::shared_ptr<const HorizontalPartitioner> partitioner,
-                      std::shared_ptr<const std::vector<data::Table>> tables,
-                      bool prune)
-      : partitioner_(std::move(partitioner)),
-        shard_tables_(std::move(tables)),
-        prune_(prune),
-        num_rows_(source.num_rows()),
-        seed_(source.seed()) {
-    const int n = source.num_shards();
-    models_.reserve(static_cast<size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      models_.push_back(
-          std::make_shared<core::QuantizedUae>(source.shard_model(s)));
-    }
-  }
-
-  double EstimateCard(const workload::Query& query) const override {
-    double total = 0.0;
-    if (prune_) {
-      for (int s : partitioner_->CandidateShards(query)) {
-        total += models_[static_cast<size_t>(s)]->EstimateCard(query);
-      }
-    } else {
-      for (const auto& m : models_) total += m->EstimateCard(query);
-    }
-    return total;
-  }
-
-  std::vector<double> EstimateCards(
-      std::span<const workload::Query> queries) const override {
-    // Same shard-ascending grouped fan-out as ShardedUae::EstimateCards.
-    const size_t n_q = queries.size();
-    std::vector<double> cards(n_q, 0.0);
-    std::vector<std::vector<size_t>> per_shard(models_.size());
-    for (size_t i = 0; i < n_q; ++i) {
-      if (prune_) {
-        for (int s : partitioner_->CandidateShards(queries[i])) {
-          per_shard[static_cast<size_t>(s)].push_back(i);
-        }
-      } else {
-        for (size_t s = 0; s < models_.size(); ++s) per_shard[s].push_back(i);
-      }
-    }
-    std::vector<workload::Query> batch;
-    for (size_t s = 0; s < models_.size(); ++s) {
-      const std::vector<size_t>& idx = per_shard[s];
-      if (idx.empty()) continue;
-      batch.clear();
-      batch.reserve(idx.size());
-      for (size_t i : idx) batch.push_back(queries[i]);
-      std::vector<double> ests = models_[s]->EstimateCards(batch);
-      for (size_t j = 0; j < idx.size(); ++j) cards[idx[j]] += ests[j];
-    }
-    return cards;
-  }
-
-  size_t SizeBytes() const override {
-    size_t total = 0;
-    for (const auto& m : models_) total += m->SizeBytes();
-    return total;
-  }
-  size_t num_rows() const override { return num_rows_; }
-  uint64_t seed() const override { return seed_; }
-  std::shared_ptr<core::ServableModel> CloneServable() const override {
-    return std::make_shared<QuantizedShardedUae>(*this);  // All state shared.
-  }
-  size_t FineTune(const workload::Workload&, const core::FineTuneSpec&) override {
-    return 0;  // Frozen snapshot.
-  }
-
- private:
-  std::shared_ptr<const HorizontalPartitioner> partitioner_;
-  std::shared_ptr<const std::vector<data::Table>> shard_tables_;
-  std::vector<std::shared_ptr<const core::QuantizedUae>> models_;
-  bool prune_ = true;
-  size_t num_rows_ = 0;
-  uint64_t seed_ = 0;
-};
-
-}  // namespace
-
 ShardedUae::ShardedUae(const data::Table& table, const ShardedUaeConfig& config)
-    : config_(config), num_rows_(table.num_rows()) {
-  auto partitioner =
-      std::make_shared<HorizontalPartitioner>(table, config_.partition);
-  config_.partition = partitioner->config();  // Resolved col, clamped N.
-  auto tables = std::make_shared<std::vector<data::Table>>(
-      partitioner->Materialize(table, table.name()));
-  partitioner_ = std::move(partitioner);
-  shard_tables_ = std::move(tables);
-
-  const int n = partitioner_->num_shards();
-  models_.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    core::UaeConfig shard_config = config_.base;
-    shard_config.seed = MixShardSeed(config_.base.seed, s);
-    models_.push_back(std::make_unique<core::Uae>(
-        (*shard_tables_)[static_cast<size_t>(s)], shard_config));
-  }
-}
-
-ShardedUae::ShardedUae(const ShardedUae& other)
-    : config_(other.config_),
-      partitioner_(other.partitioner_),
-      shard_tables_(other.shard_tables_),
-      num_rows_(other.num_rows_) {
-  models_.reserve(other.models_.size());
-  for (const auto& m : other.models_) models_.push_back(m->Clone());
-}
-
-std::unique_ptr<ShardedUae> ShardedUae::Clone() const {
-  return std::unique_ptr<ShardedUae>(new ShardedUae(*this));
-}
-
-std::shared_ptr<core::ServableModel> ShardedUae::CloneServable() const {
-  return std::shared_ptr<core::ServableModel>(Clone());
-}
-
-std::shared_ptr<core::ServableModel> ShardedUae::QuantizedServable() const {
-  return std::make_shared<QuantizedShardedUae>(*this, partitioner_,
-                                               shard_tables_, config_.prune);
-}
+    : ShardedServable(
+          table,
+          ShardedServableConfig{config.partition, config.prune,
+                                config.base.seed},
+          [base = config.base](const data::Table& shard_table, int,
+                               uint64_t shard_seed) {
+            core::UaeConfig shard_config = base;
+            shard_config.seed = shard_seed;
+            return std::make_shared<core::Uae>(shard_table, shard_config);
+          }) {}
 
 void ShardedUae::TrainDataEpochs(int epochs) {
   util::ParallelFor(
-      0, models_.size(),
-      [&](size_t lo, size_t hi) {
-        for (size_t s = lo; s < hi; ++s) models_[s]->TrainDataEpochs(epochs);
-      },
-      /*min_parallel_size=*/1);
-}
-
-void ShardedUae::FineTuneShard(int s, const workload::Workload& workload,
-                               const core::FineTuneSpec& spec) {
-  models_[static_cast<size_t>(s)]->FineTune(workload, spec);
-}
-
-void ShardedUae::IngestShardRows(int s, const data::Table& delta, int epochs) {
-  models_[static_cast<size_t>(s)]->IngestDataRows(delta, epochs);
-  num_rows_ += delta.num_rows();
-}
-
-size_t ShardedUae::RouteWorkload(const workload::Workload& workload,
-                                 std::vector<workload::Workload>* per_shard) const {
-  per_shard->assign(models_.size(), {});
-  size_t dropped = 0;
-  for (const workload::LabeledQuery& lq : workload) {
-    std::vector<int> cands = partitioner_->CandidateShards(lq.query);
-    if (cands.size() != 1) {
-      // Spanning (or provably empty) query: the global true cardinality
-      // cannot be attributed to one shard's rows.
-      ++dropped;
-      continue;
-    }
-    const size_t s = static_cast<size_t>(cands[0]);
-    workload::LabeledQuery routed = lq;
-    routed.selectivity =
-        lq.card / static_cast<double>(std::max<size_t>(1, models_[s]->num_rows()));
-    (*per_shard)[s].push_back(std::move(routed));
-  }
-  return dropped;
-}
-
-size_t ShardedUae::FineTune(const workload::Workload& workload,
-                            const core::FineTuneSpec& spec) {
-  std::vector<workload::Workload> per_shard;
-  RouteWorkload(workload, &per_shard);
-  std::atomic<size_t> used{0};
-  util::ParallelFor(
-      0, models_.size(),
+      0, static_cast<size_t>(num_shards()),
       [&](size_t lo, size_t hi) {
         for (size_t s = lo; s < hi; ++s) {
-          if (!per_shard[s].empty()) {
-            used.fetch_add(models_[s]->FineTune(per_shard[s], spec),
-                           std::memory_order_relaxed);
-          }
+          // The constructor's factory builds only core::Uae shard models.
+          static_cast<core::Uae&>(mutable_shard_model(static_cast<int>(s)))
+              .TrainDataEpochs(epochs);
         }
       },
       /*min_parallel_size=*/1);
-  return used.load(std::memory_order_relaxed);
-}
-
-double ShardedUae::EstimateCard(const workload::Query& query) const {
-  const size_t n = models_.size();
-  stat_queries_.fetch_add(1, std::memory_order_relaxed);
-  double total = 0.0;
-  if (config_.prune) {
-    std::vector<int> cands = partitioner_->CandidateShards(query);
-    stat_evaluated_.fetch_add(cands.size(), std::memory_order_relaxed);
-    stat_pruned_.fetch_add(n - cands.size(), std::memory_order_relaxed);
-    for (int s : cands) total += models_[static_cast<size_t>(s)]->EstimateCard(query);
-  } else {
-    stat_evaluated_.fetch_add(n, std::memory_order_relaxed);
-    for (const auto& m : models_) total += m->EstimateCard(query);
-  }
-  return total;
-}
-
-std::vector<double> ShardedUae::EstimateCards(
-    std::span<const workload::Query> queries) const {
-  // Group queries per shard so each shard model answers one wavefront-batched
-  // EstimateCards call instead of one forward chain per (query, shard).
-  // Shards are accumulated in ascending order — the same per-query summation
-  // order as EstimateCard's pruned fan-out — and every per-shard estimate is
-  // a pure function of (shard model, query), so element i stays bit-identical
-  // to EstimateCard(queries[i]) for any batch size or thread count.
-  const size_t n_q = queries.size();
-  const size_t n_s = models_.size();
-  std::vector<double> cards(n_q, 0.0);
-  if (n_q == 0) return cards;
-  stat_queries_.fetch_add(n_q, std::memory_order_relaxed);
-  std::vector<std::vector<size_t>> per_shard(n_s);
-  if (config_.prune) {
-    uint64_t evaluated = 0;
-    for (size_t i = 0; i < n_q; ++i) {
-      std::vector<int> cands = partitioner_->CandidateShards(queries[i]);
-      evaluated += cands.size();
-      for (int s : cands) per_shard[static_cast<size_t>(s)].push_back(i);
-    }
-    stat_evaluated_.fetch_add(evaluated, std::memory_order_relaxed);
-    stat_pruned_.fetch_add(n_s * n_q - evaluated, std::memory_order_relaxed);
-  } else {
-    stat_evaluated_.fetch_add(n_s * n_q, std::memory_order_relaxed);
-    for (size_t s = 0; s < n_s; ++s) {
-      per_shard[s].resize(n_q);
-      std::iota(per_shard[s].begin(), per_shard[s].end(), size_t{0});
-    }
-  }
-  std::vector<workload::Query> batch;
-  for (size_t s = 0; s < n_s; ++s) {
-    const std::vector<size_t>& idx = per_shard[s];
-    if (idx.empty()) continue;
-    batch.clear();
-    batch.reserve(idx.size());
-    for (size_t i : idx) batch.push_back(queries[i]);
-    std::vector<double> ests = models_[s]->EstimateCards(batch);
-    for (size_t j = 0; j < idx.size(); ++j) cards[idx[j]] += ests[j];
-  }
-  return cards;
-}
-
-size_t ShardedUae::SizeBytes() const {
-  size_t total = 0;
-  for (const auto& m : models_) total += m->SizeBytes();
-  return total;
-}
-
-ShardedUae::FanoutStats ShardedUae::fanout_stats() const {
-  FanoutStats s;
-  s.queries = stat_queries_.load(std::memory_order_relaxed);
-  s.evaluated = stat_evaluated_.load(std::memory_order_relaxed);
-  s.pruned = stat_pruned_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace uae::shard

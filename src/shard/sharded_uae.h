@@ -1,40 +1,14 @@
-// ShardedUae — one core::Uae per horizontal partition, presented as a single
-// core::ServableModel. The scale lever past the paper's one-table/one-model
-// setting:
-//
-//  * Training parallelizes across shards over the global pool (each shard's
-//    GEMMs still parallelize internally when the pool has idle workers).
-//  * EstimateCards answers a query as the SUM of per-shard cardinality
-//    estimates — exact decomposition, since shards partition the rows.
-//  * Pruned fan-out: when the query constrains the partition column, shards
-//    whose code set is provably disjoint are skipped entirely (they
-//    contribute zero true rows), so partition-targeted queries touch O(1)
-//    models instead of N — and lose the spurious mass N-1 off-target models
-//    would have contributed.
-//  * Per-shard fine-tuning (FineTune): feedback queries that prune to exactly
-//    one shard are routed to that shard's model — drift localized to one
-//    partition refits one model, leaving the other shards' parameters
-//    bit-identical. Queries spanning shards are skipped (their global label
-//    cannot be attributed to a single shard).
-//
-// Determinism: shard k's model seed is MixShardSeed(base seed, k); shard 0
-// keeps the base seed, so ShardedUae with num_shards=1 is bit-identical to
-// the monolithic Uae it replaces (same table rows, same dictionaries, same
-// masks, same training RNG stream, same estimates).
+// ShardedUae — the UAE preset of shard::ShardedServable: one core::Uae per
+// horizontal partition, shard s seeded with MixShardSeed(base.seed, s), plus
+// parallel data training across the shards. Everything else (pruned fan-out,
+// feedback routing, clones, per-shard fine-tune and data ingest) is the
+// generic ShardedServable; clones are plain ShardedServables.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "core/servable.h"
 #include "core/uae.h"
 #include "data/table.h"
 #include "shard/partitioner.h"
-#include "workload/query.h"
+#include "shard/sharded_servable.h"
 
 namespace uae::shard {
 
@@ -49,97 +23,15 @@ struct ShardedUaeConfig {
   bool prune = true;
 };
 
-class ShardedUae : public core::ServableModel {
+class ShardedUae : public ShardedServable {
  public:
-  /// Partitions `table` and builds one untrained Uae per shard. The table is
-  /// only read during construction: shard tables copy the codes and share the
-  /// dictionaries, so the source may be destroyed afterwards.
+  /// Partitions `table` and builds one untrained Uae per shard; seed()
+  /// reports config.base.seed.
   ShardedUae(const data::Table& table, const ShardedUaeConfig& config);
 
-  // ---- Training -------------------------------------------------------------
   /// Unsupervised epochs on every shard, shards fanned across the global
   /// pool. Equivalent to calling TrainDataEpochs on each shard model.
   void TrainDataEpochs(int epochs);
-  /// Fine-tunes one shard's model only (labels must describe rows of that
-  /// shard; selectivities re-derive from the shard's row count).
-  void FineTuneShard(int s, const workload::Workload& workload,
-                     const core::FineTuneSpec& spec);
-  /// Incremental data refresh for ONE shard (§4.5 applied per partition):
-  /// appends `delta`'s rows to the shard model's training-code store and runs
-  /// unsupervised epochs on the new rows only (core::Uae::IngestDataRows).
-  /// Every code in `delta` must lie inside the frozen dictionaries — overflow
-  /// codes never enter a model (the ingest layer accounts for them with an
-  /// exact tail, see ingest/delta_model.h). Other shards are untouched
-  /// (bit-identical parameters).
-  void IngestShardRows(int s, const data::Table& delta, int epochs);
-  /// Splits a feedback workload by shard: queries pruning to exactly one
-  /// shard land in that shard's slice; spanning queries are dropped. Returns
-  /// the number of dropped (unattributable) queries.
-  size_t RouteWorkload(const workload::Workload& workload,
-                       std::vector<workload::Workload>* per_shard) const;
-
-  // ---- ServableModel --------------------------------------------------------
-  double EstimateCard(const workload::Query& query) const override;
-  std::vector<double> EstimateCards(
-      std::span<const workload::Query> queries) const override;
-  size_t SizeBytes() const override;
-  size_t num_rows() const override { return num_rows_; }
-  uint64_t seed() const override { return config_.base.seed; }
-  /// Deep copy: clones every shard model (a vector of per-shard params);
-  /// shard tables and the partitioner are shared immutably with the clone.
-  std::shared_ptr<core::ServableModel> CloneServable() const override;
-  /// Routes the workload per shard (RouteWorkload) and fine-tunes only the
-  /// shards that received feedback, in parallel; the other shards' parameters
-  /// are untouched (bit-identical). Returns the number of routed queries —
-  /// 0 when every query spanned shards, in which case this model is still
-  /// bit-identical and publishing it would be a pointless cache flush.
-  size_t FineTune(const workload::Workload& workload,
-                  const core::FineTuneSpec& spec) override;
-
-  /// Typed clone (same semantics as CloneServable).
-  std::unique_ptr<ShardedUae> Clone() const;
-
-  /// Frozen int8 snapshot: one core::QuantizedUae per shard sharing this
-  /// deployment's partitioner, shard tables and pruning rule. Publishable
-  /// through serve::PublishQuantizedSnapshot like any generation.
-  std::shared_ptr<core::ServableModel> QuantizedServable() const;
-
-  // ---- Introspection --------------------------------------------------------
-  int num_shards() const { return static_cast<int>(models_.size()); }
-  const HorizontalPartitioner& partitioner() const { return *partitioner_; }
-  const core::Uae& shard_model(int s) const {
-    return *models_[static_cast<size_t>(s)];
-  }
-  const data::Table& shard_table(int s) const {
-    return (*shard_tables_)[static_cast<size_t>(s)];
-  }
-  const ShardedUaeConfig& config() const { return config_; }
-  /// Runtime pruning toggle (same trained models, different fan-out); used by
-  /// the shard_scale bench to measure pruned vs unpruned throughput.
-  void set_prune(bool prune) { config_.prune = prune; }
-
-  /// Cumulative fan-out accounting across EstimateCard(s) calls.
-  struct FanoutStats {
-    uint64_t queries = 0;    ///< Queries estimated.
-    uint64_t evaluated = 0;  ///< Shard-model evaluations performed.
-    uint64_t pruned = 0;     ///< Shard-model evaluations skipped by pruning.
-  };
-  FanoutStats fanout_stats() const;
-
- private:
-  ShardedUae(const ShardedUae& other);  ///< Clone plumbing.
-
-  ShardedUaeConfig config_;
-  std::shared_ptr<const HorizontalPartitioner> partitioner_;
-  /// Shard tables, shared immutably between an estimator and its clones (the
-  /// per-shard Uae models hold pointers into this vector).
-  std::shared_ptr<const std::vector<data::Table>> shard_tables_;
-  std::vector<std::unique_ptr<core::Uae>> models_;
-  size_t num_rows_ = 0;
-
-  mutable std::atomic<uint64_t> stat_queries_{0};
-  mutable std::atomic<uint64_t> stat_evaluated_{0};
-  mutable std::atomic<uint64_t> stat_pruned_{0};
 };
 
 }  // namespace uae::shard

@@ -15,6 +15,9 @@ double QuantileSorted(const std::vector<double>& sorted, double q) {
   size_t lo = static_cast<size_t>(pos);
   size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = pos - static_cast<double>(lo);
+  // An exact position returns its element: interpolating would compute
+  // inf * 0.0 = NaN next to an infinite neighbour.
+  if (frac == 0.0) return sorted[lo];
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
 namespace uae::workload {
 
 double QError(double est_card, double true_card) {
-  double e = std::max(est_card, 1.0);
-  double t = std::max(true_card, 1.0);
-  return std::max(e / t, t / e);
+  const double e = std::max(est_card, 1.0);
+  const double t = std::max(true_card, 1.0);
+  const double q = std::max(e / t, t / e);
+  // A NaN argument (or inf/inf) scores as the worst error rather than a NaN
+  // that would poison sorts, quantiles and routing EMAs downstream.
+  return std::isnan(q) ? std::numeric_limits<double>::infinity() : q;
 }
 
 std::vector<double> EvaluateQErrors(

@@ -13,7 +13,8 @@
 namespace uae::workload {
 
 /// Q-error on cardinalities with a floor of 1 (the convention of Naru/MSCN):
-/// max(max(est,1)/max(truth,1), max(truth,1)/max(est,1)).
+/// max(max(est,1)/max(truth,1), max(truth,1)/max(est,1)); +inf when either
+/// argument is NaN. The one q-error formula of the repo.
 double QError(double est_card, double true_card);
 
 /// Evaluates an estimate function (query -> estimated cardinality) over a

@@ -6,7 +6,11 @@
 //    DeltaAwareModel tail, with no dictionary remapping;
 //  * the regression guard can veto a refresh (incumbent keeps serving,
 //    watermarks stay armed);
-//  * published estimates are deterministic within a generation.
+//  * published estimates are deterministic within a generation;
+//  * the controller refreshes any ShardedServable whose shard models ingest
+//    rows — a deployment built straight from a core::Uae factory refreshes
+//    bit for bit like the ShardedUae preset;
+//  * explicit shard lists are bounds-checked and deduplicated.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "data/synthetic.h"
+#include "estimators/spn_servable.h"
 #include "ingest/refresh.h"
 #include "nn/serialize.h"
 #include "serve/service.h"
@@ -32,22 +37,41 @@ core::UaeConfig SmallConfig() {
   return c;
 }
 
-std::string ShardParams(const shard::ShardedUae& model, int s) {
-  return nn::SerializeParams(model.shard_model(s).model().Parameters());
+std::string ShardParams(const shard::ShardedServable& model, int s) {
+  const auto& uae = dynamic_cast<const core::Uae&>(model.shard_model(s));
+  return nn::SerializeParams(uae.model().Parameters());
 }
 
 struct Fixture {
   data::Table table = data::SyntheticDmv(2000, 7);
-  std::shared_ptr<shard::ShardedUae> model;
+  std::shared_ptr<shard::ShardedServable> model;
   std::unique_ptr<serve::EstimationService> service;
   std::unique_ptr<IngestService> ingest;
 
-  Fixture() {
-    shard::ShardedUaeConfig sc;
-    sc.base = SmallConfig();
-    sc.partition.num_shards = 4;
-    model = std::make_shared<shard::ShardedUae>(table, sc);
-    model->TrainDataEpochs(1);
+  /// A trained 4-shard UAE deployment: the ShardedUae preset, or (preset =
+  /// false) the same deployment built from a core::Uae factory.
+  explicit Fixture(bool preset = true) {
+    if (preset) {
+      shard::ShardedUaeConfig sc;
+      sc.base = SmallConfig();
+      sc.partition.num_shards = 4;
+      auto uae = std::make_shared<shard::ShardedUae>(table, sc);
+      uae->TrainDataEpochs(1);
+      model = std::move(uae);
+    } else {
+      shard::ShardedServableConfig sc;
+      sc.partition.num_shards = 4;
+      sc.base_seed = SmallConfig().seed;
+      model = std::make_shared<shard::ShardedServable>(
+          table, sc,
+          [](const data::Table& shard_table, int, uint64_t shard_seed) {
+            core::UaeConfig c = SmallConfig();
+            c.seed = shard_seed;
+            auto uae = std::make_shared<core::Uae>(shard_table, c);
+            uae->TrainDataEpochs(1);
+            return uae;
+          });
+    }
     service = std::make_unique<serve::EstimationService>(model);
     IngestConfig ic;
     ic.compact_min_delta = 0;
@@ -67,6 +91,29 @@ struct Fixture {
     }
     ingest->Flush();
     return sent;
+  }
+
+  /// Streams `count` rows into shard `target` that carry a value column
+  /// `col`'s frozen dictionary has never seen: they reach the tail, never a
+  /// shard model.
+  void FeedUnseen(int target, int col, size_t count) {
+    const int pcol = model->partitioner().partition_col();
+    const int64_t unseen = static_cast<int64_t>(table.column(col).domain()) + 7;
+    for (size_t r = 0; r < 2000 && count > 0; ++r) {
+      if (model->partitioner().ShardForCode(table.column(pcol).code_at(r)) !=
+          target) {
+        continue;
+      }
+      std::vector<data::Value> values;
+      for (int c = 0; c < table.num_cols(); ++c) {
+        values.push_back(c == col ? data::Value(unseen)
+                                  : table.column(c).ValueForCode(
+                                        table.column(c).code_at(r)));
+      }
+      ASSERT_TRUE(ingest->Append(std::move(values)));
+      --count;
+    }
+    ingest->Flush();
   }
 };
 
@@ -101,7 +148,7 @@ TEST(RefreshControllerTest, OnlyStaleShardRetrainsOthersBitwiseIdentical) {
   EXPECT_EQ(r.generation, 2u);
   EXPECT_EQ(f.service->CurrentGeneration(), 2u);
 
-  std::shared_ptr<const shard::ShardedUae> refreshed = ctrl.current_base();
+  std::shared_ptr<const shard::ShardedServable> refreshed = ctrl.current_base();
   ASSERT_NE(refreshed.get(), f.model.get());
   // The stale shard absorbed the delta rows and its parameters moved...
   EXPECT_EQ(refreshed->shard_model(1).num_rows(),
@@ -248,6 +295,73 @@ TEST(RefreshControllerTest, EstimatesDeterministicWithinGeneration) {
   std::vector<double> batched = snapshot->model->EstimateCards(qs);
   EXPECT_DOUBLE_EQ(batched[0], a);
   EXPECT_DOUBLE_EQ(batched[1], a);
+}
+
+TEST(RefreshControllerTest, RefreshesAnyShardedServableLikeThePreset) {
+  Fixture preset;
+  Fixture generic(/*preset=*/false);
+  const int pcol = preset.model->partitioner().partition_col();
+  const int ucol = pcol == 0 ? 1 : 0;
+  std::vector<std::string> before;
+  for (int s = 0; s < 4; ++s) {
+    before.push_back(ShardParams(*preset.model, s));
+    EXPECT_EQ(ShardParams(*generic.model, s), before[s]) << "shard " << s;
+  }
+
+  RefreshConfig rc;
+  rc.data_epochs = 1;
+  std::vector<std::shared_ptr<const shard::ShardedServable>> refreshed;
+  for (Fixture* f : {&preset, &generic}) {
+    ASSERT_EQ(f->FeedShard(1, 64), 64u);
+    f->FeedUnseen(1, ucol, 5);
+    RefreshController ctrl(f->ingest.get(), f->service.get(), f->model, rc);
+    RefreshResult r = ctrl.RefreshShards({1});
+    ASSERT_EQ(r.outcome, RefreshOutcome::kPublished);
+    EXPECT_EQ(r.rows_ingested, 64u);
+    EXPECT_EQ(r.tail_rows, 5u);
+    refreshed.push_back(ctrl.current_base());
+    // The lineage grew by the in-domain rows only: tail rows never reach a
+    // shard model.
+    EXPECT_EQ(refreshed.back()->num_rows(),
+              f->model->num_rows() + r.rows_ingested);
+  }
+
+  // The refreshed shard is bitwise the same through either type...
+  EXPECT_NE(ShardParams(*refreshed[0], 1), before[1]);
+  EXPECT_EQ(ShardParams(*refreshed[1], 1), ShardParams(*refreshed[0], 1));
+  // ...and every untouched shard kept its parameters in both.
+  for (const auto& model : refreshed) {
+    for (int s : {0, 2, 3}) {
+      EXPECT_EQ(ShardParams(*model, s), before[s]) << "shard " << s;
+    }
+  }
+}
+
+TEST(RefreshControllerTest, RefreshShardsDropsDuplicateIds) {
+  Fixture f;
+  ASSERT_EQ(f.FeedShard(1, 64), 64u);
+  RefreshController ctrl(f.ingest.get(), f.service.get(), f.model, {});
+  RefreshResult r = ctrl.RefreshShards({1, 1});
+  ASSERT_EQ(r.outcome, RefreshOutcome::kPublished);
+  EXPECT_EQ(r.refreshed_shards, (std::vector<int>{1}));
+  EXPECT_EQ(r.rows_ingested, 64u);
+}
+
+TEST(RefreshControllerDeathTest, RefreshShardsRejectsOutOfRangeIds) {
+  Fixture f;
+  RefreshController ctrl(f.ingest.get(), f.service.get(), f.model, {});
+  EXPECT_DEATH_IF_SUPPORTED(ctrl.RefreshShards({7}), "shard id 7 out of range");
+  EXPECT_DEATH_IF_SUPPORTED(ctrl.RefreshShards({0, -1}),
+                            "shard id -1 out of range");
+}
+
+TEST(RefreshControllerDeathTest, IngestDataRowsNeedsTheCapability) {
+  // The SPN backend learns from queries only: data ingest CHECK-fails
+  // instead of silently dropping the rows.
+  data::Table table = data::SyntheticDmv(400, 7);
+  estimators::SpnServable spn(table, estimators::SpnServableConfig{});
+  EXPECT_DEATH_IF_SUPPORTED(spn.IngestDataRows(table, 1),
+                            "IngestDataRows on a model without data ingest");
 }
 
 }  // namespace

@@ -22,15 +22,10 @@
 #include "util/quantiles.h"
 #include "util/rng.h"
 #include "workload/generator.h"
+#include "workload/metrics.h"
 
 namespace uae {
 namespace {
-
-double QError(double est, double truth) {
-  est = std::max(est, 1.0);
-  truth = std::max(truth, 1.0);
-  return std::max(est / truth, truth / est);
-}
 
 TEST(QuantizeKernelTest, RoundTripErrorBoundedByHalfScalePerRow) {
   util::Rng rng(5);
@@ -134,7 +129,7 @@ struct QuantFixture {
   std::vector<double> MedianQErrors(const core::ServableModel& model) const {
     std::vector<double> qerrs;
     for (const auto& lq : holdout) {
-      qerrs.push_back(QError(model.EstimateCard(lq.query), lq.card));
+      qerrs.push_back(workload::QError(model.EstimateCard(lq.query), lq.card));
     }
     return qerrs;
   }

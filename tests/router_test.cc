@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -279,6 +280,68 @@ TEST(RouterTest, FeedbackPromotesHotClassToKnnWithinTolerance) {
   EXPECT_EQ(stats.feedback_observed, 4 * batch.size());
   // An unseen class still routes to the primary.
   EXPECT_EQ(router->RouteFor(f.labeled[0].query), Backend::kPrimary);
+}
+
+/// An alt backend whose every answer is NaN.
+class NanServable : public core::ServableModel {
+ public:
+  explicit NanServable(size_t rows) : rows_(rows) {}
+  double EstimateCard(const workload::Query&) const override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  std::vector<double> EstimateCards(
+      std::span<const workload::Query> queries) const override {
+    return std::vector<double>(queries.size(),
+                               std::numeric_limits<double>::quiet_NaN());
+  }
+  size_t SizeBytes() const override { return 0; }
+  size_t num_rows() const override { return rows_; }
+  uint64_t seed() const override { return 0; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<NanServable>(rows_);
+  }
+  size_t FineTune(const workload::Workload&,
+                  const core::FineTuneSpec&) override {
+    return 0;
+  }
+
+ private:
+  size_t rows_;
+};
+
+TEST(RouterTest, NanAltBackendIsNeverPromotedAndStatsStayFinite) {
+  Fixture& f = Shared();
+  RouterConfig config;
+  config.knn_promote_qerr = 0.5;  // Below any q-error: kNN stays out of it.
+  auto router = f.MakeRouter(config);
+  router->SetAltBackend(std::make_shared<NanServable>(f.table.num_rows()));
+
+  // The primary served 100 rows where the truth is 1, so an alt scored as
+  // a perfect answer would win the class within promote_after rounds.
+  std::vector<online::FeedbackEntry> batch;
+  for (int32_t hi = 0; hi < 8; ++hi) {
+    online::FeedbackEntry e = f.Feedback(f.TemplateQuery(hi));
+    e.true_card = 1.0;
+    e.estimated_card = 100.0;
+    batch.push_back(e);
+  }
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_EQ(router->ObserveFeedback(batch), batch.size());
+  }
+  EXPECT_NE(router->RouteFor(f.TemplateQuery(3)), Backend::kAlt);
+  const RouterStatsSnapshot stats = router->RouterStats();
+  EXPECT_EQ(stats.alt_classes, 0u);
+  for (size_t b = 0; b < kNumBackends; ++b) {
+    const util::ErrorSummary& q = stats.backends[b].qerror;
+    for (double v : {q.mean, q.median, q.p95, q.p99, q.max}) {
+      EXPECT_FALSE(std::isnan(v)) << BackendName(static_cast<Backend>(b));
+    }
+  }
+  // The NaN answers are scored as the worst error, not dropped.
+  const util::ErrorSummary& alt =
+      stats.backends[static_cast<size_t>(Backend::kAlt)].qerror;
+  EXPECT_EQ(alt.count, 4 * batch.size());
+  EXPECT_EQ(alt.median, std::numeric_limits<double>::infinity());
 }
 
 TEST(RouterTest, JoinAndMismatchedFeedbackIsSkipped) {

@@ -1,5 +1,5 @@
 // Sharded models behind the serving + online-adaptation layers: hot-swapping
-// a ShardedUae snapshot is generation-atomic (a response is never a mix of
+// a sharded snapshot is generation-atomic (a response is never a mix of
 // two snapshots' shard parameters), concurrent clients see bitwise-attributable
 // results, and the adaptation controller fine-tunes per shard through the
 // ServableModel interface.
@@ -64,8 +64,8 @@ TEST(ShardServeTest, HotSwapUnderConcurrentLoadIsGenerationAtomic) {
   Fixture f;
   // Two published variants: the initial model and a fine-tuned clone. Every
   // response's card must equal the serving generation's own estimate.
-  std::shared_ptr<ShardedUae> tuned = [&] {
-    std::unique_ptr<ShardedUae> clone = f.model->Clone();
+  std::shared_ptr<ShardedServable> tuned = [&] {
+    std::unique_ptr<ShardedServable> clone = f.model->Clone();
     workload::Workload feedback;
     const HorizontalPartitioner& part = clone->partitioner();
     const int pcol = part.partition_col();
@@ -80,7 +80,7 @@ TEST(ShardServeTest, HotSwapUnderConcurrentLoadIsGenerationAtomic) {
     core::FineTuneSpec spec;
     spec.query_steps = 4;
     clone->FineTune(feedback, spec);
-    return std::shared_ptr<ShardedUae>(std::move(clone));
+    return std::shared_ptr<ShardedServable>(std::move(clone));
   }();
 
   serve::ServiceConfig cfg;
@@ -94,7 +94,7 @@ TEST(ShardServeTest, HotSwapUnderConcurrentLoadIsGenerationAtomic) {
     while (!stop.load(std::memory_order_relaxed)) {
       const workload::Query& q = f.queries[i % f.queries.size()];
       serve::ServeResult res = service.Estimate(q);
-      const ShardedUae& expect = res.generation == 1 ? *f.model : *tuned;
+      const ShardedServable& expect = res.generation == 1 ? *f.model : *tuned;
       if (res.card != expect.EstimateCard(q)) {
         mismatches.fetch_add(1, std::memory_order_relaxed);
       }
@@ -134,7 +134,7 @@ TEST(ShardServeTest, UnroutableFeedbackSkipsPublishInsteadOfNoOpSwap) {
   online::AdaptationController controller(&service, &collector, &monitor, ac);
 
   // Feedback with NO constraint on the partition column: every query fans out
-  // to all shards, so ShardedUae::FineTune can attribute none of it.
+  // to all shards, so ShardedServable::FineTune can attribute none of it.
   const int pcol = f.model->partitioner().partition_col();
   const int other = pcol == 0 ? 1 : 0;
   for (int i = 0; i < 12; ++i) {
@@ -190,9 +190,10 @@ TEST(ShardServeTest, ControllerFineTunesShardedSnapshotThroughTheLoop) {
   ASSERT_EQ(result.outcome, online::AdaptOutcome::kPublished)
       << online::AdaptOutcomeName(result.outcome);
   EXPECT_EQ(service.CurrentGeneration(), 2u);
-  // The published snapshot is a ShardedUae clone: same shard layout.
+  // The published snapshot is a sharded clone: same shard layout.
   auto snap = service.CurrentSnapshot();
-  const auto* published = dynamic_cast<const ShardedUae*>(snap->model.get());
+  const auto* published =
+      dynamic_cast<const ShardedServable*>(snap->model.get());
   ASSERT_NE(published, nullptr);
   EXPECT_EQ(published->num_shards(), f.model->num_shards());
   // And serving continues bitwise-consistently on the new generation.

@@ -1,5 +1,5 @@
-// shard/sharded_uae: the deterministic parity guarantees of the sharded
-// estimator —
+// shard/: the deterministic parity guarantees of the sharded deployment,
+// through its UAE preset —
 //  * N=1 sharded == monolithic BITWISE (same seeds, masks, training stream);
 //  * shard-sum estimates stay accurate for any shard count on an
 //    exact-oracle-labeled workload (invariance within q-error tolerance);
@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "data/synthetic.h"
-#include "estimators/sharded_adapter.h"
 #include "nn/serialize.h"
 #include "shard/sharded_uae.h"
 #include "util/quantiles.h"
@@ -20,6 +20,12 @@
 
 namespace uae::shard {
 namespace {
+
+/// The serialized parameters of shard `s`'s UAE model.
+std::string ShardParams(const ShardedServable& model, int s) {
+  const auto& uae = dynamic_cast<const core::Uae&>(model.shard_model(s));
+  return nn::SerializeParams(uae.model().Parameters());
+}
 
 core::UaeConfig SmallConfig() {
   core::UaeConfig c;
@@ -67,7 +73,7 @@ TEST(ShardedUaeTest, SingleShardBitwiseEqualsMonolithic) {
   EXPECT_EQ(sharded.num_rows(), mono.num_rows());
   EXPECT_EQ(sharded.SizeBytes(), mono.SizeBytes());
   // Parameters bit-identical after identical training streams...
-  EXPECT_EQ(nn::SerializeParams(sharded.shard_model(0).model().Parameters()),
+  EXPECT_EQ(ShardParams(sharded, 0),
             nn::SerializeParams(mono.model().Parameters()));
   // ...and so are the estimates, single and batched.
   std::vector<double> mono_cards = mono.EstimateCards(f.queries);
@@ -122,12 +128,7 @@ TEST(ShardedUaeTest, BatchedMatchesSingleAndPrunedFanoutCounts) {
   const int32_t domain = f.table.column(pcol).domain();
   workload::Query eq(f.table.num_cols());
   eq.AddPredicate({pcol, workload::Op::kEq, domain / 3, {}}, domain);
-  ShardedUae::FanoutStats before = sharded.fanout_stats();
-  (void)sharded.EstimateCard(eq);
-  ShardedUae::FanoutStats after = sharded.fanout_stats();
-  EXPECT_EQ(after.queries - before.queries, 1u);
-  EXPECT_EQ(after.evaluated - before.evaluated, 1u);
-  EXPECT_EQ(after.pruned - before.pruned, 3u);
+  EXPECT_EQ(sharded.partitioner().CandidateShards(eq).size(), 1u);
 
   // Pruning is exact there: the skipped shards hold zero matching rows, so
   // the pruned estimate equals the single candidate shard's estimate.
@@ -144,7 +145,7 @@ TEST(ShardedUaeTest, CloneIsIndependentAndBitIdentical) {
   ShardedUae sharded(f.table, sc);
   sharded.TrainDataEpochs(1);
 
-  std::unique_ptr<ShardedUae> clone = sharded.Clone();
+  std::unique_ptr<ShardedServable> clone = sharded.Clone();
   std::vector<double> a = sharded.EstimateCards(f.queries);
   std::vector<double> b = clone->EstimateCards(f.queries);
   for (size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
@@ -192,40 +193,19 @@ TEST(ShardedUaeTest, FineTuneRefitsOnlyTargetedShards) {
 
   std::vector<std::string> before;
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    before.push_back(
-        nn::SerializeParams(sharded.shard_model(s).model().Parameters()));
+    before.push_back(ShardParams(sharded, s));
   }
   core::FineTuneSpec spec;
   spec.query_steps = 8;
   sharded.FineTune(feedback, spec);
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    std::string after =
-        nn::SerializeParams(sharded.shard_model(s).model().Parameters());
+    std::string after = ShardParams(sharded, s);
     if (s == target) {
       EXPECT_NE(after, before[static_cast<size_t>(s)]) << "target shard unchanged";
     } else {
       EXPECT_EQ(after, before[static_cast<size_t>(s)])
           << "untouched shard " << s << " was modified";
     }
-  }
-}
-
-TEST(ShardedUaeTest, AdapterJoinsTheEstimatorZoo) {
-  Fixture f;
-  ShardedUaeConfig sc;
-  sc.base = SmallConfig();
-  sc.partition.num_shards = 2;
-  ShardedUae sharded(f.table, sc);
-  sharded.TrainDataEpochs(1);
-
-  estimators::ShardedEstimator adapter(&sharded, "Sharded-2xNaru");
-  EXPECT_EQ(adapter.name(), "Sharded-2xNaru");
-  EXPECT_EQ(adapter.SizeBytes(), sharded.SizeBytes());
-  std::vector<double> via_adapter = adapter.EstimateCards(f.queries);
-  std::vector<double> direct = sharded.EstimateCards(f.queries);
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_DOUBLE_EQ(via_adapter[i], direct[i]);
-    EXPECT_DOUBLE_EQ(adapter.EstimateCard(f.queries[i]), direct[i]);
   }
 }
 

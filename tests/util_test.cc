@@ -145,6 +145,14 @@ TEST(QuantilesTest, BasicQuantiles) {
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(Quantile(xs, 1.0), 5.0);
+  // An infinite element neither poisons an exact position nor gets lost.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> with_inf = {1, inf, 2};
+  EXPECT_DOUBLE_EQ(Quantile(with_inf, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(Quantile(with_inf, 0.5), 2.0);
+  EXPECT_EQ(Quantile(with_inf, 0.75), inf);
+  EXPECT_EQ(Quantile(with_inf, 1.0), inf);
+  EXPECT_EQ(Quantile({inf, inf, inf}, 0.5), inf);
 }
 
 TEST(QuantilesTest, Summarize) {

@@ -1,6 +1,8 @@
 // workload/: q-error metric properties and selectivity histograms.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "workload/metrics.h"
 
 namespace uae::workload {
@@ -15,6 +17,15 @@ TEST(MetricsTest, QErrorSymmetricAndFloored) {
   EXPECT_DOUBLE_EQ(QError(0, 50), 50.0);
   EXPECT_DOUBLE_EQ(QError(50, 0), 50.0);
   EXPECT_GE(QError(3.7, 9.1), 1.0);
+  // NaN on either side is the worst score, never a NaN (or a perfect 1.0).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(QError(nan, 3), inf);
+  EXPECT_EQ(QError(nan, 1), inf);
+  EXPECT_EQ(QError(3, nan), inf);
+  EXPECT_EQ(QError(nan, nan), inf);
+  EXPECT_EQ(QError(inf, 3), inf);
+  EXPECT_EQ(QError(inf, inf), inf);
 }
 
 TEST(MetricsTest, EvaluateQErrors) {
