@@ -1,6 +1,6 @@
 // Quantized serving snapshots: an int8 inference plane (per-output-channel
 // symmetric weight scales, fp32 accumulate) over a frozen UAE, wrapped as a
-// ServableModel so it publishes through serve::SnapshotSlot/EstimationService
+// ServableModel so it publishes through EstimationService's util::VersionedSlot
 // like any generation. Quantization perturbs estimates, so candidates must be
 // parity-gated against their fp32 source before serving — see
 // serve::PublishQuantizedSnapshot, which reuses the online guard machinery.

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "util/mathutil.h"
+#include "workload/metrics.h"
 
 namespace uae::optimizer {
 
@@ -222,10 +223,10 @@ size_t SubplanMemoRefresher::RefreshOnce() {
     }
     workload::JoinQuery sub{entry.join_mask, entry.query};
     memo_->Observe(SubplanFss(uni_, sub), entry.true_card);
+    // An estimated_card of 0 means the entry carries no estimate.
     if (drift_ != nullptr && entry.estimated_card > 0.0) {
-      const double t = std::max(entry.true_card, 1.0);
-      const double e = std::max(entry.estimated_card, 1.0);
-      drift_->Observe(entry.generation, std::max(t / e, e / t));
+      drift_->Observe(entry.generation,
+                      workload::QError(entry.estimated_card, entry.true_card));
     }
     ++folded;
   }

@@ -1,32 +1,33 @@
 // HybridRouter — a core::ServableModel that fronts the estimator zoo with
-// per-query-class routing and graceful degradation (ROADMAP item 3).
+// per-query-class routing and graceful degradation.
 //
-// Three backends always, one more optional, one ladder:
+// Backends:
 //   * primary — the served deep model (UAE, sharded, quantized — any
 //     ServableModel). Default for every class: accurate, milliseconds.
-//   * kNN     — an online per-class k-nearest-neighbour regression over
-//     recent (literal features, log true cardinality) feedback pairs
-//     (router/knn.h, the AQO OkNNr design). Microseconds; classes are
-//     promoted onto it only once their rolling kNN q-error proves out.
+//   * candidates, in precedence order (kCandidates): the kNN — an online
+//     per-class k-nearest-neighbour regression over recent (literal
+//     features, log true cardinality) feedback pairs (router/knn.h, the AQO
+//     OkNNr design), microseconds — then the alt, an optional second full
+//     ServableModel (SetAltBackend; the query-driven SPN backend). A class
+//     on both serves from the kNN and never pays a model inference.
 //   * floor   — a bounded-latency classical estimator (histogram/sampling;
 //     any estimators::CardinalityEstimator). Engages per request when the
 //     load probe reports an SLO breach: under overload the router degrades
 //     to cheap-but-bounded answers instead of stalling the queue.
-//   * alt     — an optional second full ServableModel (the query-driven SPN
-//     backend: sampling-free single-pass inference). Shadow-evaluated on
-//     every feedback entry; a class is promoted onto it when its rolling alt
-//     q-error beats the primary's by a margin (and demoted when the edge
-//     disappears). kNN outranks alt — a class cheap enough for the
-//     microsecond path never pays a model inference at all.
+//
+// One rule for every candidate: with q its rolling (shadow-evaluated)
+// q-error on a class and p the primary's, the class may be promoted onto it
+// when q <= 4 and q * promote_edge <= p, and demoted when q > 8 or
+// q * demote_edge > p, each after two consecutive eligible update rounds so
+// classes do not flap. The kNN (edges 0.5 / 0) may trail the primary by up
+// to 2x and is never demoted just for trailing it; the alt (1.2 / 1.0) must
+// beat the primary by 1.2x and is demoted once that edge is gone.
 //
 // Routing tables are learned ONLINE from the serving feedback stream
 // (online::FeedbackCollector): ObserveFeedback() folds drained entries into
 // per-class rolling q-error per backend plus the class's kNN point ring, and
-// republishes the routing table generation-atomically (same atomic
-// shared_ptr hot-swap discipline as serve::SnapshotSlot — readers never
-// block, in-flight requests finish on the table they started with).
-// Promotion/demotion uses dual thresholds plus consecutive-update streaks so
-// classes do not flap.
+// republishes the routing table through a util::VersionedSlot — readers
+// never block, in-flight requests finish on the table they started with.
 //
 // Determinism caveat: within one routing-table generation and with the load
 // probe healthy (or unset), estimates are pure functions of (router state,
@@ -39,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -52,6 +54,7 @@
 #include "router/query_class.h"
 #include "serve/latency.h"
 #include "util/quantiles.h"
+#include "util/versioned_slot.h"
 
 namespace uae::router {
 
@@ -71,40 +74,6 @@ using LoadProbe = std::function<RouterLoad()>;
 
 struct RouterConfig {
   KnnConfig knn;
-
-  // ---- Routing-table learning ----------------------------------------------
-  /// Hard cap on tracked classes; feedback for classes beyond it is dropped
-  /// (bounded memory under adversarial template churn).
-  size_t max_classes = 4096;
-  /// EMA weight of a new observation in the per-backend rolling log-q-error.
-  double qerr_smoothing = 0.25;
-  /// A class is promoted onto the kNN fast path when its rolling kNN q-error
-  /// is at or below this absolute bar...
-  double knn_promote_qerr = 4.0;
-  /// ...and within this factor of the primary's rolling q-error (the bounded
-  /// accuracy give-up). Classes with no primary feedback use the bar alone.
-  double knn_promote_margin = 2.0;
-  /// Demotion bar (strictly above the promote bar: the hysteresis gap).
-  double knn_demote_qerr = 8.0;
-  /// Consecutive routing updates a class must stay eligible / ineligible
-  /// before it is promoted / demoted — no flapping on one noisy batch.
-  int promote_after = 2;
-  int demote_after = 2;
-
-  // ---- Alt backend (only read when SetAltBackend was called) ---------------
-  /// A class is promoted onto the alt model when its rolling alt q-error is
-  /// at or below this absolute bar...
-  double alt_promote_qerr = 4.0;
-  /// ...and beats the primary's rolling q-error by this factor
-  /// (alt_q * margin <= primary_q): the alt must earn its inference cost
-  /// with a real accuracy edge, not a tie.
-  double alt_promote_margin = 1.2;
-  /// Demotion: the class leaves the alt when its rolling alt q-error climbs
-  /// above this absolute bar or above the primary's (edge gone). Promotion /
-  /// demotion streaks reuse promote_after / demote_after.
-  double alt_demote_qerr = 8.0;
-
-  // ---- Degradation ladder --------------------------------------------------
   /// Queue-depth ceiling; 0 disables the depth trigger.
   size_t queue_depth_limit = 0;
   /// Per-request latency SLO in microseconds, compared against the oldest
@@ -113,10 +82,6 @@ struct RouterConfig {
   /// Consecutive healthy probes required to leave the degraded state
   /// (recovery hysteresis; entry is immediate — a stall must never wait).
   int recover_after = 16;
-
-  // ---- Observability -------------------------------------------------------
-  /// Per-backend q-error sample window feeding RouterStats() summaries.
-  size_t qerr_window = 1024;
 };
 
 /// Per-backend slice of a RouterStats() snapshot.
@@ -150,9 +115,10 @@ class HybridRouter : public core::ServableModel {
 
   // ---- core::ServableModel --------------------------------------------------
   double EstimateCard(const workload::Query& query) const override;
-  /// Batched routing: the primary's share goes through its batched fan-out
-  /// path; kNN/floor shares are answered directly (they are microsecond
-  /// paths). The degradation probe is evaluated once per batch.
+  /// Batched routing: each model-backed backend (primary, alt) gets its
+  /// share in one batched call; kNN/floor shares are answered directly (they
+  /// are microsecond paths). The degradation probe is evaluated once per
+  /// batch.
   std::vector<double> EstimateCards(
       std::span<const workload::Query> queries) const override;
   size_t SizeBytes() const override;
@@ -180,10 +146,6 @@ class HybridRouter : public core::ServableModel {
   /// concurrent serving starts; classes are only ever promoted onto the alt
   /// after it is set. Pass nullptr to clear.
   void SetAltBackend(std::shared_ptr<const core::ServableModel> alt);
-  /// The installed alt backend, or nullptr.
-  std::shared_ptr<const core::ServableModel> alt_backend() const {
-    return alt_;
-  }
 
   // ---- Degradation + observability -----------------------------------------
   /// Installs the load signal the degradation trigger reads. Must be wired
@@ -204,36 +166,69 @@ class HybridRouter : public core::ServableModel {
     ClassKnn knn;  ///< Populated only for kNN-routed classes.
   };
   struct RoutingTable {
-    uint64_t generation = 0;
+    uint64_t generation = 0;  ///< Assigned by the slot.
     std::unordered_map<uint64_t, ClassRoute> routes;
     size_t knn_classes = 0;
     size_t alt_classes = 0;
   };
+  /// A request's backend after route resolution, with the kNN's answer.
+  struct Resolved {
+    Backend backend = Backend::kPrimary;
+    double knn_card = 0.0;
+  };
 
+  /// A routing candidate and its edges in the promotion rule (top of file).
+  struct Candidate {
+    Backend backend;
+    double promote_edge;
+    double demote_edge;
+  };
+  static constexpr Candidate kCandidates[] = {
+      {Backend::kKnn, 0.5, 0.0},
+      {Backend::kAlt, 1.2, 1.0},
+  };
+  static constexpr size_t kNumCandidates = std::size(kCandidates);
+
+  /// One candidate's hysteresis state on one class.
+  struct CandidateState {
+    bool on = false;
+    int promote_streak = 0;
+    int demote_streak = 0;
+  };
   /// Learner-side mutable per-class state (guarded by learn_mu_).
   struct ClassState {
     KnnRing ring;
     // Rolling log-q-error EMA + sample count, one per backend.
     double qerr_log[kNumBackends] = {};
     uint64_t qerr_n[kNumBackends] = {};
-    bool on_knn = false;
-    int promote_streak = 0;
-    int demote_streak = 0;
-    // Alt-backend state machine (independent of the kNN one; kNN outranks).
-    bool on_alt = false;
-    int alt_promote_streak = 0;
-    int alt_demote_streak = 0;
+    CandidateState candidates[kNumCandidates];  ///< Indexed like kCandidates.
     explicit ClassState(size_t capacity) : ring(capacity) {}
+    void AddQerr(Backend backend, double q);
   };
 
-  std::shared_ptr<const RoutingTable> Table() const;
-  void PublishTable(std::shared_ptr<const RoutingTable> table);
+  /// Clone constructor: starts from `table` as generation 1.
+  HybridRouter(std::shared_ptr<core::ServableModel> primary,
+               std::shared_ptr<const estimators::CardinalityEstimator> floor,
+               std::vector<int32_t> domains, const RouterConfig& config,
+               RoutingTable table);
+
+  /// The floor when `degraded` (counted); else classifies `query`, looks up
+  /// its class, and falls back to the primary when the chosen candidate
+  /// cannot answer (an underfilled kNN snapshot, or a table that predates an
+  /// alt teardown).
+  Resolved Resolve(const RoutingTable& table, const workload::Query& query,
+                   bool degraded) const;
+  double Answer(const Resolved& resolved, const workload::Query& query) const;
+  /// The primary or installed alt behind `backend`, else nullptr.
+  const core::ServableModel* ModelFor(Backend backend) const;
+  /// The kNN always; the alt once set.
+  bool Installed(Backend candidate) const;
+  /// The first installed candidate `state` is on, else the primary.
+  Backend ServingBackend(const ClassState& state) const;
   /// Rebuilds the immutable table from learner state; caller holds learn_mu_.
   void RepublishLocked();
   /// Evaluates the degradation state machine against one probe reading.
   bool CheckDegraded() const;
-  double EstimateVia(Backend backend, const workload::Query& query,
-                     const QueryClass& qc, const ClassRoute* route) const;
   void RecordServed(Backend backend, uint64_t micros) const;
 
   const std::shared_ptr<core::ServableModel> primary_;
@@ -244,28 +239,13 @@ class HybridRouter : public core::ServableModel {
   const std::vector<int32_t> domains_;
   const RouterConfig config_;
 
-  // Published routing table (atomic shared_ptr; TSan builds fall back to a
-  // mutex-guarded slot like serve::SnapshotSlot — same semantics).
-#if defined(__SANITIZE_THREAD__)
-#define UAE_ROUTER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define UAE_ROUTER_TSAN 1
-#endif
-#endif
-#ifdef UAE_ROUTER_TSAN
-  mutable std::mutex table_mu_;
-  std::shared_ptr<const RoutingTable> table_;
-#else
-  std::atomic<std::shared_ptr<const RoutingTable>> table_;
-#endif
+  util::VersionedSlot<RoutingTable> table_;
 
   LoadProbe probe_;  ///< Unset => degradation disabled.
 
   // Learner state.
   mutable std::mutex learn_mu_;
   std::unordered_map<uint64_t, ClassState> classes_;
-  uint64_t next_generation_ = 2;  ///< Generation 1 is the empty initial table.
   uint64_t feedback_observed_ = 0;
 
   // Degradation state machine (request-path side; atomics only).
@@ -282,7 +262,7 @@ class HybridRouter : public core::ServableModel {
   struct QerrWindow {
     std::vector<double> samples;
     size_t next = 0;
-    void Add(double q, size_t cap);
+    void Add(double q);
   };
   QerrWindow qerr_windows_[kNumBackends];
 };

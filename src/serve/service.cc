@@ -12,10 +12,11 @@ EstimationService::EstimationService(
     std::shared_ptr<const core::ServableModel> initial_model,
     const ServiceConfig& config)
     : config_(config),
-      slot_(std::move(initial_model)),
+      slot_(ModelSnapshot{0, std::move(initial_model)}),
       cache_(config.cache),
       batcher_(config.queue_capacity, config.max_batch,
                std::chrono::microseconds(config.max_wait_us)) {
+  UAE_CHECK(CurrentSnapshot()->model != nullptr);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
@@ -145,7 +146,8 @@ ServeResult EstimationService::EstimateJoin(const workload::JoinQuery& query) {
 
 uint64_t EstimationService::PublishSnapshot(
     std::shared_ptr<const core::ServableModel> model) {
-  uint64_t generation = slot_.Publish(std::move(model));
+  UAE_CHECK(model != nullptr);
+  uint64_t generation = slot_.Publish(ModelSnapshot{0, std::move(model)});
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
   if (config_.evict_stale_on_publish) {
     cache_.EvictBelowGeneration(generation);

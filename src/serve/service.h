@@ -36,7 +36,7 @@
 #include "serve/latency.h"
 #include "serve/micro_batcher.h"
 #include "serve/result_cache.h"
-#include "serve/snapshot.h"
+#include "util/versioned_slot.h"
 #include "workload/join_workload.h"
 #include "workload/query.h"
 
@@ -54,6 +54,17 @@ struct ServiceConfig {
 
   /// Eagerly drop cache entries of superseded generations on publish.
   bool evict_stale_on_publish = true;
+};
+
+/// One published (generation, frozen model) pair. The model is any
+/// core::ServableModel; a ShardedServable's per-shard parameter sets publish
+/// as one generation-atomic unit.
+struct ModelSnapshot {
+  /// Starts at 1 for the snapshot the service was constructed with and
+  /// strictly increases per publish. Result-cache keys embed it, so
+  /// publishing a new snapshot makes stale entries unreachable.
+  uint64_t generation = 0;
+  std::shared_ptr<const core::ServableModel> model;
 };
 
 struct ServiceStats {
@@ -158,7 +169,7 @@ class EstimationService {
   void RunBatch(std::vector<EstimateRequest> batch);
 
   ServiceConfig config_;
-  SnapshotSlot slot_;
+  util::VersionedSlot<ModelSnapshot> slot_;
   ResultCache cache_;
   MicroBatcher batcher_;
   std::thread dispatcher_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 
 #include "util/threadpool.h"
 
@@ -47,6 +46,31 @@ int64_t CountRange(const data::Table& table, const Query& query,
   return local;
 }
 
+/// Sum over the matching rows of [lo, hi), in row order, of
+/// prod 1/(code+1) over `inverse_weight_cols`.
+double WeightedRange(const data::Table& table, const Query& query,
+                     const std::vector<int>& cols,
+                     const std::vector<int>& inverse_weight_cols, size_t lo,
+                     size_t hi) {
+  double sum = 0.0;
+  for (size_t r = lo; r < hi; ++r) {
+    bool ok = true;
+    for (int c : cols) {
+      if (!query.constraint(c).Matches(table.column(c).code_at(r))) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) continue;
+    double w = 1.0;
+    for (int wc : inverse_weight_cols) {
+      w /= static_cast<double>(table.column(wc).code_at(r) + 1);
+    }
+    sum += w;
+  }
+  return sum;
+}
+
 }  // namespace
 
 int64_t ExecuteCount(const data::Table& table, const Query& query) {
@@ -89,28 +113,25 @@ double ExecuteWeightedCount(const data::Table& table, const Query& query,
                             const std::vector<int>& inverse_weight_cols) {
   UAE_CHECK_EQ(query.num_cols(), table.num_cols());
   std::vector<int> cols = OrderedConstrainedCols(table, query);
-  std::mutex mu;
-  double total = 0.0;
-  util::ParallelFor(0, table.num_rows(), [&](size_t lo, size_t hi) {
-    double local = 0.0;
-    for (size_t r = lo; r < hi; ++r) {
-      bool ok = true;
-      for (int c : cols) {
-        if (!query.constraint(c).Matches(table.column(c).code_at(r))) {
-          ok = false;
-          break;
+  // Float sums do not commute, so the result must not depend on how the pool
+  // chunks the scan: block b always owns rows [b*kBlockRows, (b+1)*kBlockRows)
+  // and the block sums are added in block order, bit-identical for any
+  // thread count (the GEMM kernels' rule, docs/DETERMINISM.md).
+  constexpr size_t kBlockRows = 4096;
+  const size_t rows = table.num_rows();
+  std::vector<double> block_sums((rows + kBlockRows - 1) / kBlockRows, 0.0);
+  util::ParallelFor(
+      0, block_sums.size(),
+      [&](size_t block_lo, size_t block_hi) {
+        for (size_t b = block_lo; b < block_hi; ++b) {
+          const size_t hi = std::min(rows, (b + 1) * kBlockRows);
+          block_sums[b] = WeightedRange(table, query, cols,
+                                        inverse_weight_cols, b * kBlockRows, hi);
         }
-      }
-      if (!ok) continue;
-      double w = 1.0;
-      for (int wc : inverse_weight_cols) {
-        w /= static_cast<double>(table.column(wc).code_at(r) + 1);
-      }
-      local += w;
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    total += local;
-  });
+      },
+      /*min_parallel_size=*/2);
+  double total = 0.0;
+  for (double sum : block_sums) total += sum;
   return total;
 }
 

@@ -31,6 +31,8 @@ std::vector<int64_t> ExecuteCounts(const data::Table& table,
 /// Weighted count: sum over matching rows of prod_i 1/(code(c_i)+1) for each
 /// column index in `inverse_weight_cols` — the downscaling used for join
 /// cardinalities over the full-outer-join universe (fanout code F-1).
+/// Fixed row blocks are summed in block order, so the result is
+/// bit-identical for any thread count and calling thread.
 double ExecuteWeightedCount(const data::Table& table, const Query& query,
                             const std::vector<int>& inverse_weight_cols);
 

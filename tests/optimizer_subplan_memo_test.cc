@@ -17,6 +17,7 @@
 #include "optimizer/executor.h"
 #include "optimizer/subplan_memo.h"
 #include "workload/join_workload.h"
+#include "workload/metrics.h"
 
 namespace uae::optimizer {
 namespace {
@@ -248,6 +249,33 @@ TEST(SubplanFeedbackTest, RefresherForwardsSingleTableEntries) {
   EXPECT_EQ(memo.Size(), 1u);
   EXPECT_EQ(adaptation.Size(), 1u) << "single-table feedback passes through";
   EXPECT_EQ(collector.Size(), 0u);
+}
+
+TEST(SubplanFeedbackTest, RefresherFeedsJoinQErrorsToTheDriftMonitor) {
+  data::JoinUniverse uni = SmallUniverse();
+  SubplanMemo memo;
+  online::FeedbackCollector collector;
+  online::DriftMonitor drift;
+  SubplanMemoRefresher refresher(uni, &memo, &collector, {}, &drift);
+
+  online::FeedbackEntry estimated;
+  estimated.query = workload::Query(uni.universe.num_cols());
+  estimated.join_mask = 0b11;
+  estimated.true_card = 10.0;
+  estimated.estimated_card = 37.5;
+  estimated.generation = 4;
+  collector.Add(estimated);
+  online::FeedbackEntry unestimated = estimated;  // estimated_card 0: none.
+  unestimated.estimated_card = 0.0;
+  unestimated.generation = 5;
+  collector.Add(unestimated);
+
+  EXPECT_EQ(refresher.RefreshOnce(), 2u);
+  EXPECT_EQ(drift.TotalObserved(), 1u);
+  const util::ErrorSummary recorded = drift.SummaryForGeneration(4);
+  EXPECT_EQ(recorded.count, 1u);
+  EXPECT_EQ(recorded.max, workload::QError(37.5, 10.0));
+  EXPECT_EQ(drift.SummaryForGeneration(5).count, 0u);
 }
 
 TEST(SubplanFeedbackTest, BackgroundRefresherDrainsOnStop) {

@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -312,7 +313,7 @@ class NanServable : public core::ServableModel {
 TEST(RouterTest, NanAltBackendIsNeverPromotedAndStatsStayFinite) {
   Fixture& f = Shared();
   RouterConfig config;
-  config.knn_promote_qerr = 0.5;  // Below any q-error: kNN stays out of it.
+  config.knn.min_points = 1u << 20;  // Keep the kNN path out of this contest.
   auto router = f.MakeRouter(config);
   router->SetAltBackend(std::make_shared<NanServable>(f.table.num_rows()));
 
@@ -342,6 +343,44 @@ TEST(RouterTest, NanAltBackendIsNeverPromotedAndStatsStayFinite) {
       stats.backends[static_cast<size_t>(Backend::kAlt)].qerror;
   EXPECT_EQ(alt.count, 4 * batch.size());
   EXPECT_EQ(alt.median, std::numeric_limits<double>::infinity());
+}
+
+TEST(RouterTest, KnnOutranksAltWhenBothQualify) {
+  Fixture& f = Shared();
+  // The primary was 100x off on every entry and the alt is exact, so the alt
+  // qualifies; the template repeats, so the kNN qualifies too.
+  std::vector<online::FeedbackEntry> batch;
+  const int32_t step = std::max<int32_t>(1, f.domains[0] / 16);
+  for (int32_t hi = 0; hi + 1 < f.domains[0]; hi += step) {
+    online::FeedbackEntry e = f.Feedback(f.TemplateQuery(hi));
+    e.estimated_card = 100.0 * std::max(1.0, e.true_card);
+    batch.push_back(e);
+  }
+  constexpr int kRounds = 4;
+  const auto route_after_feedback = [&](const RouterConfig& config) {
+    auto router = f.MakeRouter(config);
+    router->SetAltBackend(
+        std::make_shared<estimators::ServableEstimatorAdapter>(
+            f.oracle, f.table.num_rows(), /*seed=*/5));
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(router->ObserveFeedback(batch), batch.size());
+    }
+    return std::make_pair(router->RouteFor(f.TemplateQuery(step)),
+                          router->RouterStats());
+  };
+
+  const auto [both, both_stats] = route_after_feedback({});
+  EXPECT_EQ(both, Backend::kKnn);
+  EXPECT_EQ(both_stats.knn_classes, 1u);
+  EXPECT_EQ(both_stats.alt_classes, 0u);
+
+  // Without enough points for the kNN, the same class goes to the alt.
+  RouterConfig no_knn;
+  no_knn.knn.min_points = kRounds * batch.size() + 1;
+  const auto [alt_only, alt_stats] = route_after_feedback(no_knn);
+  EXPECT_EQ(alt_only, Backend::kAlt);
+  EXPECT_EQ(alt_stats.knn_classes, 0u);
+  EXPECT_EQ(alt_stats.alt_classes, 1u);
 }
 
 TEST(RouterTest, JoinAndMismatchedFeedbackIsSkipped) {

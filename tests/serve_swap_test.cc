@@ -7,6 +7,7 @@
 // ASan/UBSan sanitizer job (unit label) and the TSan serve job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -204,6 +205,60 @@ TEST(ServeSwapTest, PublishWhileIdleBumpsGenerationMonotonically) {
   EXPECT_EQ(service.PublishSnapshot(f.variants[2]), 3u);
   EXPECT_EQ(service.CurrentGeneration(), 3u);
   EXPECT_EQ(service.Stats().snapshots_published, 2u);
+}
+
+// Two controllers (data refresh and query-driven adaptation) publish into one
+// service: racing publishers must each get their own generation, a reader
+// must never see the generation go back, and the highest generation is the
+// snapshot that stays installed.
+TEST(ServeSwapTest, RacingPublishersGetDistinctGenerationsAndHighestStays) {
+  SwapFixture& f = Shared();
+  EstimationService service(f.variants[0]);
+  constexpr int kPublishers = 4;
+  constexpr int kPerPublisher = 25;
+  constexpr int kPublishes = kPublishers * kPerPublisher;
+  // One distinct model object per publish, so the installed one identifies
+  // the publish that installed it.
+  std::vector<std::shared_ptr<const core::ServableModel>> models;
+  for (int i = 0; i < kPublishes; ++i) {
+    models.push_back(f.variants[i % SwapFixture::kGenerations]->Clone());
+  }
+  std::vector<uint64_t> generation_of(kPublishes, 0);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> went_back{0};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const uint64_t g = service.CurrentGeneration();
+      if (g < last) went_back.fetch_add(1);
+      last = g;
+    }
+  });
+  std::vector<std::thread> publishers;
+  for (int p = 0; p < kPublishers; ++p) {
+    publishers.emplace_back([&, p] {
+      for (int i = p * kPerPublisher; i < (p + 1) * kPerPublisher; ++i) {
+        generation_of[i] = service.PublishSnapshot(models[i]);
+      }
+    });
+  }
+  for (auto& t : publishers) t.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(went_back.load(), 0);
+  std::vector<uint64_t> sorted = generation_of;
+  std::sort(sorted.begin(), sorted.end());
+  for (int i = 0; i < kPublishes; ++i) {
+    EXPECT_EQ(sorted[i], static_cast<uint64_t>(i + 2));
+  }
+  const auto last = std::find(generation_of.begin(), generation_of.end(),
+                              static_cast<uint64_t>(kPublishes + 1));
+  ASSERT_NE(last, generation_of.end());
+  const auto snap = service.CurrentSnapshot();
+  EXPECT_EQ(snap->generation, static_cast<uint64_t>(kPublishes + 1));
+  EXPECT_EQ(snap->model, models[last - generation_of.begin()]);
 }
 
 TEST(ServeSwapTest, TrainerClonePublishLoopUnderLoad) {

@@ -2,7 +2,10 @@
 // weighted counts and bitmaps.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/synthetic.h"
+#include "util/threadpool.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
 
@@ -89,6 +92,32 @@ TEST(ExecutorTest, WeightedCount) {
   // Two weight columns multiply.
   double w2 = ExecuteWeightedCount(t, q, {1, 1});
   EXPECT_NEAR(w2, 1.0 + 0.0625, 1e-12);
+}
+
+// Float sums do not commute, so the weighted count must not depend on how
+// the pool chunks the scan. The test thread fans out over the pool; a pool
+// worker takes ParallelFor's inline path and sums the whole range at once.
+TEST(ExecutorTest, WeightedCountIsIndependentOfTheCallingThread) {
+  util::ThreadPool& pool = util::GlobalPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
+  constexpr int32_t kRows = 60000;
+  std::vector<int32_t> filter_codes, fanout_codes;
+  for (int32_t r = 0; r < kRows; ++r) {
+    filter_codes.push_back(r % 5);
+    fanout_codes.push_back((r * 7919) % 13);  // Weights 1/1 .. 1/13.
+  }
+  std::vector<data::Column> cols;
+  cols.push_back(data::Column::FromCodes("a", std::move(filter_codes), 5));
+  cols.push_back(data::Column::FromCodes("f", std::move(fanout_codes), 13));
+  data::Table t("t", std::move(cols));
+  Query q(2);
+  q.AddPredicate({0, Op::kNeq, 0, {}}, 5);
+
+  const double from_test_thread = ExecuteWeightedCount(t, q, {1});
+  double from_worker = 0.0;
+  pool.Submit([&] { from_worker = ExecuteWeightedCount(t, q, {1}); });
+  pool.Wait();
+  EXPECT_EQ(from_test_thread, from_worker);
 }
 
 TEST(ExecutorTest, MatchBitmap) {
