@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "online/controller.h"
+#include "util/stopwatch.h"
 
 namespace uae::ingest {
 
@@ -29,12 +30,12 @@ RefreshController::RefreshController(
       service_(service),
       config_(config),
       monitor_(ingest, config.staleness),
-      base_(std::move(base)) {
+      base_(std::move(base)),
+      loop_(std::chrono::milliseconds(config.period_ms),
+            [this] { RefreshIfStale(); }) {
   UAE_CHECK(ingest_ != nullptr && service_ != nullptr && base_ != nullptr);
   UAE_CHECK_EQ(base_->num_shards(), ingest_->num_shards());
 }
-
-RefreshController::~RefreshController() { Stop(); }
 
 std::shared_ptr<const shard::ShardedServable> RefreshController::current_base()
     const {
@@ -91,7 +92,7 @@ RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
     ++stats_.skipped;
     return result;
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  util::Stopwatch timer;
   std::sort(shards.begin(), shards.end());
   shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
 
@@ -157,9 +158,7 @@ RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
     result.candidate_median = verdict.candidate_median;
     if (!verdict.accept) {
       result.outcome = RefreshOutcome::kRejectedByGuard;
-      result.seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
+      result.seconds = timer.ElapsedSeconds();
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.rejected;
       return result;
@@ -177,44 +176,12 @@ RefreshResult RefreshController::RunRefresh(std::vector<int> shards,
     base_ = refreshed;
   }
   result.outcome = RefreshOutcome::kPublished;
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.seconds = timer.ElapsedSeconds();
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.published;
   stats_.rows_ingested += result.rows_ingested;
   stats_.last_published_generation = result.generation;
   return result;
-}
-
-void RefreshController::Start() {
-  if (thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { PollLoop(); });
-}
-
-void RefreshController::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = true;
-  }
-  poll_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void RefreshController::PollLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(poll_mu_);
-      poll_cv_.wait_for(lock, std::chrono::milliseconds(config_.period_ms),
-                        [this] { return stop_; });
-      if (stop_) return;
-    }
-    RefreshIfStale();
-  }
 }
 
 }  // namespace uae::ingest

@@ -29,13 +29,10 @@
 // from this chain — the two loops coexist, data refresh being the anchor.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "ingest/delta_model.h"
@@ -43,6 +40,7 @@
 #include "ingest/staleness.h"
 #include "serve/service.h"
 #include "shard/sharded_servable.h"
+#include "util/background_loop.h"
 
 namespace uae::ingest {
 
@@ -99,7 +97,6 @@ class RefreshController {
   RefreshController(IngestService* ingest, serve::EstimationService* service,
                     std::shared_ptr<const shard::ShardedServable> base,
                     const RefreshConfig& config = {});
-  ~RefreshController();
   UAE_DISALLOW_COPY(RefreshController);
 
   /// Refreshes the stale shards, if any (synchronous building block).
@@ -109,10 +106,10 @@ class RefreshController {
   /// CHECK-fails on an id outside [0, num_shards); duplicates are dropped.
   RefreshResult RefreshShards(std::vector<int> shards);
 
-  /// Autonomous mode: polls RefreshIfStale() every period_ms until Stop().
-  void Start();
-  void Stop();
-  bool running() const { return thread_.joinable(); }
+  /// Autonomous mode: polls RefreshIfStale() every period_ms on a
+  /// util::BackgroundLoop until Stop() (idempotent; the destructor stops too).
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
 
   const StalenessMonitor& monitor() const { return monitor_; }
   /// Head of the typed lineage (latest refreshed model).
@@ -123,7 +120,6 @@ class RefreshController {
  private:
   RefreshResult RunRefresh(std::vector<int> shards,
                            std::unique_lock<std::mutex> busy);
-  void PollLoop();
 
   IngestService* ingest_;
   serve::EstimationService* service_;
@@ -137,10 +133,9 @@ class RefreshController {
   mutable std::mutex stats_mu_;
   RefreshStats stats_;
 
-  std::thread thread_;
-  std::mutex poll_mu_;
-  std::condition_variable poll_cv_;
-  bool stop_ = false;
+  /// Declared last, so it is destroyed first: the thread is joined before
+  /// any member its tick touches goes away.
+  util::BackgroundLoop loop_;
 };
 
 }  // namespace uae::ingest

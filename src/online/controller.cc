@@ -1,6 +1,7 @@
 #include "online/controller.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "util/quantiles.h"
@@ -57,15 +58,15 @@ AdaptationController::AdaptationController(serve::EstimationService* service,
                                            DriftMonitor* monitor,
                                            const AdaptationConfig& config)
     : service_(service), collector_(collector), monitor_(monitor),
-      config_(config) {
+      config_(config),
+      loop_(std::chrono::milliseconds(config.period_ms),
+            [this] { AdaptIfDrifted(); }) {
   UAE_CHECK(service_ != nullptr);
   UAE_CHECK(collector_ != nullptr);
   UAE_CHECK(monitor_ != nullptr);
   UAE_CHECK_GE(config_.holdout_fraction, 0.0);
   UAE_CHECK_LE(config_.holdout_fraction, 1.0);
 }
-
-AdaptationController::~AdaptationController() { Stop(); }
 
 void AdaptationController::OnFeedback(const workload::Query& query,
                                       const serve::ServeResult& served,
@@ -218,35 +219,6 @@ void AdaptationController::RecordOutcome(const AdaptationResult& result) {
 AdaptationStats AdaptationController::Stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
-}
-
-void AdaptationController::Start() {
-  if (thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { PollLoop(); });
-}
-
-void AdaptationController::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(poll_mu_);
-    stop_ = true;
-  }
-  poll_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void AdaptationController::PollLoop() {
-  std::unique_lock<std::mutex> lock(poll_mu_);
-  while (!stop_) {
-    poll_cv_.wait_for(lock, std::chrono::milliseconds(config_.period_ms));
-    if (stop_) break;
-    lock.unlock();
-    AdaptIfDrifted();
-    lock.lock();
-  }
 }
 
 }  // namespace uae::online

@@ -22,23 +22,21 @@
 //   * stale-signal suppression — a drift report describing a generation that
 //     is no longer the served one is ignored.
 //
-// Start()/Stop() run the trigger poll on a background thread (the autonomous
-// mode); AdaptIfDrifted()/AdaptNow() are the synchronous building blocks and
-// are what deterministic tests drive directly.
+// Start()/Stop() poll AdaptIfDrifted() on a util::BackgroundLoop (the
+// autonomous mode); AdaptIfDrifted()/AdaptNow() are the synchronous building
+// blocks and are what deterministic tests drive directly.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "core/servable.h"
 #include "online/drift.h"
 #include "online/feedback.h"
 #include "serve/service.h"
+#include "util/background_loop.h"
 
 namespace uae::online {
 
@@ -125,11 +123,10 @@ GuardVerdict EvaluateCandidate(const core::ServableModel& incumbent,
 
 class AdaptationController {
  public:
-  /// All dependencies outlive the controller; it owns only its poll thread.
+  /// All dependencies outlive the controller; it owns only its poll loop.
   AdaptationController(serve::EstimationService* service,
                        FeedbackCollector* collector, DriftMonitor* monitor,
                        const AdaptationConfig& config = {});
-  ~AdaptationController();
   UAE_DISALLOW_COPY(AdaptationController);
 
   /// Feedback entry point: records the ground truth observed for a served
@@ -147,9 +144,9 @@ class AdaptationController {
 
   /// Autonomous mode: polls AdaptIfDrifted() every `period_ms` on a
   /// background thread until Stop() (idempotent; the destructor stops too).
-  void Start();
-  void Stop();
-  bool running() const { return thread_.joinable(); }
+  void Start() { loop_.Start(); }
+  void Stop() { loop_.Stop(); }
+  bool running() const { return loop_.running(); }
 
   AdaptationStats Stats() const;
   const AdaptationConfig& config() const { return config_; }
@@ -157,7 +154,6 @@ class AdaptationController {
  private:
   AdaptationResult RunAdaptation(std::unique_lock<std::mutex> adapt_lock);
   void RecordOutcome(const AdaptationResult& result);
-  void PollLoop();
 
   serve::EstimationService* service_;
   FeedbackCollector* collector_;
@@ -165,17 +161,15 @@ class AdaptationController {
   const AdaptationConfig config_;
 
   std::mutex adapt_mu_;  ///< max-concurrent-finetune = 1 (try_lock).
-  /// Observation count at the last attempt; guarded by adapt_mu_ for writers,
-  /// read under stats_mu_-free atomics would be overkill — reads take
-  /// stats_mu_.
-  mutable std::mutex stats_mu_;
+  mutable std::mutex stats_mu_;  ///< Guards the two fields below.
   AdaptationStats stats_;
+  /// Monitor observation count at the last attempt (the cooldown's origin);
+  /// written and read under stats_mu_.
   uint64_t last_attempt_observed_ = 0;
 
-  std::thread thread_;
-  std::mutex poll_mu_;
-  std::condition_variable poll_cv_;
-  bool stop_ = false;
+  /// Declared last, so it is destroyed first: the thread is joined before
+  /// any member its tick touches goes away.
+  util::BackgroundLoop loop_;
 };
 
 }  // namespace uae::online

@@ -20,6 +20,9 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 constexpr char kMagic[4] = {'U', 'A', 'E', 'M'};
 constexpr uint32_t kVersion = 1;
 
+/// Background poll cadence of Start()ed refreshers.
+constexpr std::chrono::milliseconds kRefreshPeriod{50};
+
 }  // namespace
 
 uint64_t SubplanFss(const data::JoinUniverse& uni,
@@ -199,15 +202,14 @@ size_t RecordPlanFeedback(const data::JoinUniverse& uni,
 
 SubplanMemoRefresher::SubplanMemoRefresher(
     const data::JoinUniverse& uni, SubplanMemo* memo,
-    online::FeedbackCollector* collector,
-    const SubplanMemoRefresherConfig& config, online::DriftMonitor* drift,
+    online::FeedbackCollector* collector, online::DriftMonitor* drift,
     online::FeedbackCollector* passthrough)
     : uni_(uni),
       memo_(memo),
       collector_(collector),
-      config_(config),
       drift_(drift),
-      passthrough_(passthrough) {
+      passthrough_(passthrough),
+      loop_(kRefreshPeriod, [this] { RefreshOnce(); }) {
   UAE_CHECK(memo_ != nullptr);
   UAE_CHECK(collector_ != nullptr);
 }
@@ -233,33 +235,8 @@ size_t SubplanMemoRefresher::RefreshOnce() {
   return folded;
 }
 
-void SubplanMemoRefresher::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (worker_.joinable()) return;
-  stop_ = false;
-  worker_ = std::thread([this] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      lock.unlock();
-      RefreshOnce();
-      lock.lock();
-      cv_.wait_for(lock, std::chrono::milliseconds(config_.poll_interval_ms),
-                   [this] { return stop_; });
-    }
-  });
-}
-
 void SubplanMemoRefresher::Stop() {
-  std::thread worker;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!worker_.joinable()) return;
-    stop_ = true;
-    cv_.notify_all();
-    worker = std::move(worker_);
-  }
-  worker.join();
-  RefreshOnce();  // Fold anything that raced the shutdown.
+  if (loop_.Stop()) RefreshOnce();  // Fold anything that raced the shutdown.
 }
 
 }  // namespace uae::optimizer

@@ -9,8 +9,9 @@
 // where it does not.
 //
 // Thread-safety: SubplanMemo is fully thread-safe (one mutex; all operations
-// are O(1)-ish map touches, never model evaluations). The refresher owns a
-// background thread; Start/Stop are idempotent and the destructor stops it.
+// are O(1)-ish map touches, never model evaluations). The refresher polls on
+// a util::BackgroundLoop; Start/Stop are idempotent and the destructor stops
+// it.
 //
 // Persistence: Save/Load use the same raw-stream style as nn/serialize
 // ("UAEM" magic, version, count, fixed-width little-endian fields). Cards are
@@ -18,18 +19,17 @@
 // so save -> load -> save reproduces the file byte for byte.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "data/imdb_star.h"
 #include "online/drift.h"
 #include "online/feedback.h"
+#include "util/background_loop.h"
 #include "util/status.h"
 #include "workload/join_workload.h"
 
@@ -116,24 +116,19 @@ size_t RecordPlanFeedback(const data::JoinUniverse& uni,
                           uint64_t generation,
                           online::FeedbackCollector* collector);
 
-struct SubplanMemoRefresherConfig {
-  /// Background poll cadence of Start()ed refreshers.
-  uint64_t poll_interval_ms = 50;
-};
-
 /// Moves executed-plan feedback from a FeedbackCollector into a SubplanMemo —
 /// the off-query-path half of the loop. RefreshOnce() drains the collector:
 /// join entries (join_mask != 0) are folded into the memo (and, when a
 /// DriftMonitor is attached and the entry carries the estimate it was planned
 /// with, their q-errors feed per-generation drift tracking); single-table
 /// entries are forwarded to `passthrough` (the adaptation controller's
-/// collector) or dropped when none is given. Start() runs RefreshOnce on a
-/// background thread so planning threads never pay for memo maintenance.
+/// collector) or dropped when none is given. Start() runs RefreshOnce every
+/// 50 ms on a util::BackgroundLoop so planning threads never pay for memo
+/// maintenance.
 class SubplanMemoRefresher {
  public:
   SubplanMemoRefresher(const data::JoinUniverse& uni, SubplanMemo* memo,
                        online::FeedbackCollector* collector,
-                       const SubplanMemoRefresherConfig& config = {},
                        online::DriftMonitor* drift = nullptr,
                        online::FeedbackCollector* passthrough = nullptr);
   ~SubplanMemoRefresher();
@@ -142,22 +137,22 @@ class SubplanMemoRefresher {
   /// Drains the collector once; returns how many join entries were folded in.
   size_t RefreshOnce();
 
-  /// Starts/stops the background polling thread (idempotent).
-  void Start();
+  /// Starts/stops the background poll (idempotent). Stopping a running
+  /// refresher ends with one more RefreshOnce, so feedback added before
+  /// Stop() is folded in.
+  void Start() { loop_.Start(); }
   void Stop();
 
  private:
   const data::JoinUniverse& uni_;
   SubplanMemo* const memo_;
   online::FeedbackCollector* const collector_;
-  const SubplanMemoRefresherConfig config_;
   online::DriftMonitor* const drift_;
   online::FeedbackCollector* const passthrough_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread worker_;
+  /// Declared last, so it is destroyed first: the thread is joined before
+  /// any member its tick touches goes away.
+  util::BackgroundLoop loop_;
 };
 
 }  // namespace uae::optimizer

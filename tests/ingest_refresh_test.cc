@@ -7,14 +7,17 @@
 //  * the regression guard can veto a refresh (incumbent keeps serving,
 //    watermarks stay armed);
 //  * published estimates are deterministic within a generation;
+//  * a Start()ed controller refreshes a stale shard on its own;
 //  * the controller refreshes any ShardedServable whose shard models ingest
 //    rows — a deployment built straight from a core::Uae factory refreshes
 //    bit for bit like the ShardedUae preset;
 //  * explicit shard lists are bounds-checked and deduplicated.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -167,6 +170,28 @@ TEST(RefreshControllerTest, OnlyStaleShardRetrainsOthersBitwiseIdentical) {
   EXPECT_EQ(ctrl.RefreshIfStale().outcome,
             RefreshOutcome::kSkippedNoStaleShards);
   EXPECT_EQ(ctrl.Stats().published, 1u);
+}
+
+TEST(RefreshControllerTest, StartedLoopRefreshesStaleShard) {
+  Fixture f;
+  ASSERT_EQ(f.FeedShard(1, 64), 64u);
+  RefreshConfig rc;
+  rc.staleness.trigger_rows = 32;
+  rc.period_ms = 5;
+  RefreshController ctrl(f.ingest.get(), f.service.get(), f.model, rc);
+  ctrl.Start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (ctrl.Stats().published == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(ctrl.Stats().published, 1u) << "the started loop never refreshed";
+  ctrl.Stop();
+  EXPECT_EQ(ctrl.Stats().rows_ingested, 64u);
+  EXPECT_EQ(ctrl.Stats().last_published_generation, 2u);
+  EXPECT_EQ(f.service->CurrentGeneration(), 2u);
+  EXPECT_TRUE(ctrl.monitor().StaleShards().empty());
 }
 
 TEST(RefreshControllerTest, UnseenValueQueryableExactlyViaTail) {

@@ -1,8 +1,10 @@
 // online/controller: trigger plumbing (drift / stale-signal / cooldown /
-// feedback floor), the max-concurrent-finetune=1 rail, and — the load-bearing
-// guarantee — the regression guard provably refusing a worse candidate.
+// feedback floor), the Start()ed poll, the max-concurrent-finetune=1 rail,
+// and — the load-bearing guarantee — the regression guard provably refusing
+// a worse candidate.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
@@ -156,6 +158,32 @@ TEST(AdaptationControllerTest, DriftTriggersPublish) {
   EXPECT_EQ(controller.Stats().last_published_generation, 2u);
   // Drain-on-adapt consumed the buffer.
   EXPECT_EQ(collector.Size(), 0u);
+}
+
+TEST(AdaptationControllerTest, StartedLoopPublishesOnDrift) {
+  Fixture& f = Shared();
+  serve::EstimationService service(f.trained);
+  FeedbackCollector collector;
+  DriftMonitor monitor({.window = 64, .min_samples = 8, .median_threshold = 3.0});
+  AdaptationConfig cfg = FastConfig();
+  cfg.period_ms = 5;
+  AdaptationController controller(&service, &collector, &monitor, cfg);
+
+  Feed(service, controller, LabeledQueries(f.table, 16, 11), /*truth_scale=*/20.0);
+  ASSERT_TRUE(monitor.Check().fired);
+  controller.Start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (service.CurrentGeneration() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(service.CurrentGeneration(), 2u) << "the started loop never adapted";
+  controller.Stop();
+  // The drift report now names a superseded generation: no second publish.
+  EXPECT_EQ(service.CurrentGeneration(), 2u);
+  EXPECT_EQ(controller.Stats().published, 1u);
+  EXPECT_EQ(controller.Stats().last_published_generation, 2u);
 }
 
 TEST(AdaptationControllerTest, GuardRefusalKeepsIncumbentServing) {

@@ -4,11 +4,13 @@
 // and the executed-plan feedback path (RecordPlanFeedback + refresher).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <unordered_set>
 
 #include "data/imdb_star.h"
@@ -233,8 +235,7 @@ TEST(SubplanFeedbackTest, RefresherForwardsSingleTableEntries) {
   SubplanMemo memo;
   online::FeedbackCollector collector;
   online::FeedbackCollector adaptation;
-  SubplanMemoRefresher refresher(uni, &memo, &collector, {}, nullptr,
-                                 &adaptation);
+  SubplanMemoRefresher refresher(uni, &memo, &collector, nullptr, &adaptation);
 
   online::FeedbackEntry single;
   single.query = workload::Query(uni.universe.num_cols());
@@ -256,7 +257,7 @@ TEST(SubplanFeedbackTest, RefresherFeedsJoinQErrorsToTheDriftMonitor) {
   SubplanMemo memo;
   online::FeedbackCollector collector;
   online::DriftMonitor drift;
-  SubplanMemoRefresher refresher(uni, &memo, &collector, {}, &drift);
+  SubplanMemoRefresher refresher(uni, &memo, &collector, &drift);
 
   online::FeedbackEntry estimated;
   estimated.query = workload::Query(uni.universe.num_cols());
@@ -276,6 +277,32 @@ TEST(SubplanFeedbackTest, RefresherFeedsJoinQErrorsToTheDriftMonitor) {
   EXPECT_EQ(recorded.count, 1u);
   EXPECT_EQ(recorded.max, workload::QError(37.5, 10.0));
   EXPECT_EQ(drift.SummaryForGeneration(5).count, 0u);
+}
+
+TEST(SubplanFeedbackTest, BackgroundRefresherFoldsWhileRunning) {
+  data::JoinUniverse uni = SmallUniverse();
+  SubplanMemo memo;
+  online::FeedbackCollector collector;
+  SubplanMemoRefresher refresher(uni, &memo, &collector);
+  refresher.Start();
+  workload::JoinQuery q;
+  q.table_mask = 0b11;
+  q.pred = workload::Query(uni.universe.num_cols());
+  online::FeedbackEntry entry;
+  entry.query = q.pred;
+  entry.join_mask = q.table_mask;
+  entry.true_card = 77.0;
+  collector.Add(entry);
+  // Waits for the poll itself, before Stop(): Stop()'s final drain would
+  // fold the entry even if the loop never ticked.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (memo.Size() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(memo.Size(), 1u) << "the started refresher never folded";
+  EXPECT_NEAR(*memo.Lookup(SubplanFss(uni, q)), 77.0, 1e-9);
+  refresher.Stop();
 }
 
 TEST(SubplanFeedbackTest, BackgroundRefresherDrainsOnStop) {
