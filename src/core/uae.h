@@ -45,10 +45,6 @@ struct UaeConfig {
   // Optimization.
   float lr = 2e-3f;
   int data_batch = 512;
-  /// Wildcard skipping (§4.6) is always on, Naru-style: per training row the
-  /// number of wildcarded columns is drawn uniformly in [0, n]. This field is
-  /// kept for API stability; it no longer changes behaviour.
-  float wildcard_prob = 0.25f;
   float grad_clip = 8.f;
 
   // Supervised part (UAE-Q / hybrid).

@@ -1,7 +1,5 @@
 #include "estimators/uae_adapter.h"
 
-#include <future>
-
 namespace uae::estimators {
 
 double UaeAdapter::EstimateCard(const workload::Query& query) const {
@@ -11,27 +9,6 @@ double UaeAdapter::EstimateCard(const workload::Query& query) const {
 std::vector<double> UaeAdapter::EstimateCards(
     std::span<const workload::Query> queries) const {
   return uae_->EstimateCards(queries);
-}
-
-double UaeServiceAdapter::EstimateCard(const workload::Query& query) const {
-  return service_->EstimateCard(query);
-}
-
-std::vector<double> UaeServiceAdapter::EstimateCards(
-    std::span<const workload::Query> queries) const {
-  std::vector<std::future<serve::ServeResult>> futures;
-  futures.reserve(queries.size());
-  for (const workload::Query& q : queries) {
-    futures.push_back(service_->EstimateAsync(q));
-  }
-  std::vector<double> cards;
-  cards.reserve(queries.size());
-  for (auto& f : futures) cards.push_back(f.get().card);
-  return cards;
-}
-
-size_t UaeServiceAdapter::SizeBytes() const {
-  return service_->CurrentSnapshot()->model->SizeBytes();
 }
 
 }  // namespace uae::estimators

@@ -1,4 +1,4 @@
-// Adapters exposing core::Uae through the common estimator interface so the
+// Adapter exposing core::Uae through the common estimator interface so the
 // bench harnesses treat UAE / UAE-D (Naru) / UAE-Q uniformly with baselines.
 #pragma once
 
@@ -6,7 +6,6 @@
 
 #include "core/uae.h"
 #include "estimators/estimator.h"
-#include "serve/service.h"
 
 namespace uae::estimators {
 
@@ -27,28 +26,6 @@ class UaeAdapter : public CardinalityEstimator {
 
  private:
   const core::Uae* uae_;
-  std::string name_;
-};
-
-/// Routes estimates through a serve::EstimationService (micro-batching +
-/// result cache + hot-swappable snapshots) instead of a fixed model, so the
-/// harnesses can measure the serving layer like any other estimator. Batched
-/// calls submit every query asynchronously and gather the futures, letting
-/// the service coalesce them into micro-batches.
-class UaeServiceAdapter : public CardinalityEstimator {
- public:
-  /// Does not own the service.
-  UaeServiceAdapter(serve::EstimationService* service, std::string display_name)
-      : service_(service), name_(std::move(display_name)) {}
-
-  std::string name() const override { return name_; }
-  double EstimateCard(const workload::Query& query) const override;
-  std::vector<double> EstimateCards(
-      std::span<const workload::Query> queries) const override;
-  size_t SizeBytes() const override;
-
- private:
-  serve::EstimationService* service_;
   std::string name_;
 };
 

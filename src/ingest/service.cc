@@ -1,13 +1,14 @@
 #include "ingest/service.h"
 
-#include <algorithm>
-
 namespace uae::ingest {
 
 IngestService::IngestService(data::Table* table,
                              const shard::HorizontalPartitioner* partitioner,
                              const IngestConfig& config)
-    : table_(table), partitioner_(partitioner), config_(config) {
+    : table_(table),
+      partitioner_(partitioner),
+      config_(config),
+      queue_(config.queue_capacity, config.max_batch, config.max_wait) {
   UAE_CHECK(table_ != nullptr && partitioner_ != nullptr);
   UAE_CHECK_GE(config_.queue_capacity, size_t{1});
   UAE_CHECK_GE(config_.max_batch, size_t{1});
@@ -26,48 +27,23 @@ IngestService::~IngestService() {
 bool IngestService::Append(std::vector<data::Value> values) {
   PendingRow row;
   row.values = std::move(values);
-  row.encoded = false;
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  queue_cv_.wait(lock,
-                 [this] { return closed_ || queue_.size() < config_.queue_capacity; });
-  if (closed_) return false;
-  row.seq = next_seq_++;
-  if (queue_.empty()) oldest_enqueue_ = std::chrono::steady_clock::now();
-  queue_.push_back(std::move(row));
-  apply_cv_.notify_one();
-  return true;
+  return queue_.Push(std::move(row));
 }
 
 bool IngestService::AppendCodes(std::vector<int32_t> codes) {
   PendingRow row;
   row.codes = std::move(codes);
   row.encoded = true;
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  queue_cv_.wait(lock,
-                 [this] { return closed_ || queue_.size() < config_.queue_capacity; });
-  if (closed_) return false;
-  row.seq = next_seq_++;
-  if (queue_.empty()) oldest_enqueue_ = std::chrono::steady_clock::now();
-  queue_.push_back(std::move(row));
-  apply_cv_.notify_one();
-  return true;
+  return queue_.Push(std::move(row));
 }
 
 void IngestService::Flush() {
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  const uint64_t target = next_seq_ - 1;
-  flushed_cv_.wait(lock, [this, target] { return applied_seq_ >= target; });
+  const uint64_t target = queue_.Admitted();
+  std::unique_lock<std::mutex> lock(applied_mu_);
+  flushed_cv_.wait(lock, [this, target] { return applied_rows_ >= target; });
 }
 
-void IngestService::Close() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (closed_) return;
-    closed_ = true;
-  }
-  queue_cv_.notify_all();
-  apply_cv_.notify_all();
-}
+void IngestService::Close() { queue_.Close(); }
 
 size_t IngestService::CompactNow() {
   // writer_mu_ first: a fold must never overlap the apply thread's appends
@@ -96,46 +72,20 @@ IngestStats IngestService::stats() const {
   return stats_;
 }
 
-size_t IngestService::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
-}
+size_t IngestService::QueueDepth() const { return queue_.Depth(); }
 
 void IngestService::ApplyLoop() {
-  std::vector<PendingRow> batch;
   for (;;) {
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      apply_cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (closed_) return;
-        continue;
-      }
-      // Batch admission, MicroBatcher-style: wait (bounded by max_wait from
-      // the oldest queued row) for a full batch, then take up to max_batch.
-      const auto deadline = oldest_enqueue_ + config_.max_wait;
-      apply_cv_.wait_until(lock, deadline, [this] {
-        return closed_ || queue_.size() >= config_.max_batch;
-      });
-      const size_t take = std::min(queue_.size(), config_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (!queue_.empty()) oldest_enqueue_ = std::chrono::steady_clock::now();
-    }
-    queue_cv_.notify_all();
+    std::vector<PendingRow> batch = queue_.PopBatch();
+    if (batch.empty()) return;  // Closed and drained.
     {
       std::lock_guard<std::mutex> writer(writer_mu_);
       ApplyBatch(batch);
       MaybeCompact();
     }
-    uint64_t applied = batch.back().seq;
     {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      applied_seq_ = std::max(applied_seq_, applied);
+      std::lock_guard<std::mutex> lock(applied_mu_);
+      applied_rows_ += batch.size();
     }
     flushed_cv_.notify_all();
   }

@@ -5,9 +5,10 @@
 //
 // Why a single apply thread: the data-layer delta region is single-writer by
 // design (lock-free readers synchronize on one published row count). The
-// queue gives producers the multi-producer surface — batch admission and
-// backpressure exactly like serve::MicroBatcher — while keeping the actual
-// mutation serial and therefore cheap.
+// queue gives producers the multi-producer surface — it is a
+// util::BatchQueue, the estimation service's queue type, so batch admission
+// and backpressure are the same — while keeping the actual mutation serial
+// and therefore cheap.
 //
 // Locking: appends never block readers. The ONLY reader-disturbing operation
 // is compaction (Table::FoldDelta reallocates the base code vectors), so the
@@ -20,7 +21,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -30,6 +30,7 @@
 #include "data/table.h"
 #include "ingest/delta_buffer.h"
 #include "shard/partitioner.h"
+#include "util/batch_queue.h"
 #include "util/status.h"
 
 namespace uae::ingest {
@@ -116,7 +117,8 @@ class IngestService {
     std::vector<data::Value> values;  ///< Used when !encoded.
     std::vector<int32_t> codes;       ///< Used when encoded.
     bool encoded = false;
-    uint64_t seq = 0;
+    /// Stamped by util::BatchQueue::Push at admission.
+    std::chrono::steady_clock::time_point enqueued_at{};
   };
 
   void ApplyLoop();
@@ -137,15 +139,15 @@ class IngestService {
   /// Serializes compaction (exclusive) against live-row scans (shared).
   mutable std::shared_mutex table_mu_;
 
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;     ///< Producers wait for space.
-  std::condition_variable apply_cv_;     ///< Apply thread waits for rows.
-  std::condition_variable flushed_cv_;   ///< Flush waits for applied_seq_.
-  std::deque<PendingRow> queue_;
-  uint64_t next_seq_ = 1;
-  uint64_t applied_seq_ = 0;   ///< Highest seq fully applied.
-  std::chrono::steady_clock::time_point oldest_enqueue_{};
-  bool closed_ = false;
+  util::BatchQueue<PendingRow> queue_;
+
+  std::mutex applied_mu_;
+  std::condition_variable flushed_cv_;  ///< Flush waits for applied_rows_.
+  /// Rows the apply thread has taken through ApplyBatch (rejected ones
+  /// included). The queue is FIFO with one consumer, so once this reaches
+  /// queue_.Admitted() as read at some instant, every row admitted by then
+  /// has been applied.
+  uint64_t applied_rows_ = 0;
 
   mutable std::mutex stats_mu_;
   IngestStats stats_;

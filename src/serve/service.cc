@@ -14,14 +14,14 @@ EstimationService::EstimationService(
     : config_(config),
       slot_(ModelSnapshot{0, std::move(initial_model)}),
       cache_(config.cache),
-      batcher_(config.queue_capacity, config.max_batch,
-               std::chrono::microseconds(config.max_wait_us)) {
+      queue_(config.queue_capacity, config.max_batch,
+             std::chrono::microseconds(config.max_wait_us)) {
   UAE_CHECK(CurrentSnapshot()->model != nullptr);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
 EstimationService::~EstimationService() {
-  batcher_.Close();
+  queue_.Close();
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
@@ -110,7 +110,7 @@ std::future<ServeResult> EstimationService::Submit(EstimateRequest request) {
   }
 
   std::future<ServeResult> queued_future = request.promise.get_future();
-  if (!batcher_.Push(std::move(request))) {
+  if (!queue_.Push(std::move(request))) {
     // Service is shutting down; degrade to an inline answer. A refused Push
     // leaves `request` untouched, so its promise still backs the future.
     inline_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -157,7 +157,7 @@ uint64_t EstimationService::PublishSnapshot(
 
 void EstimationService::DispatchLoop() {
   for (;;) {
-    std::vector<EstimateRequest> batch = batcher_.PopBatch();
+    std::vector<EstimateRequest> batch = queue_.PopBatch();
     if (batch.empty()) return;  // Closed and drained.
     RunBatch(std::move(batch));
   }
@@ -173,7 +173,7 @@ void EstimationService::RunBatch(std::vector<EstimateRequest> batch) {
   }
 
   // Queue-wait accounting: how long each request sat between Push and this
-  // dispatch (the latency the micro-batcher's deadline bounds).
+  // dispatch (the latency the queue's deadline bounds).
   const auto dispatched_at = std::chrono::steady_clock::now();
   for (const EstimateRequest& request : batch) {
     const auto wait = dispatched_at - request.enqueued_at;

@@ -2,9 +2,10 @@
 //
 // Many client threads call Estimate()/EstimateAsync() with single queries —
 // or EstimateJoin()/EstimateJoinAsync() with join sub-plans from the query
-// optimizer; the service coalesces them into micro-batches (MicroBatcher) and
-// fans each batch through EstimateCards/EstimateJoinCards, which parallelize
-// progressive sampling across the global pool. Because every estimate is a
+// optimizer; the service coalesces them into micro-batches through its
+// request queue (util::BatchQueue) and fans each batch through
+// EstimateCards/EstimateJoinCards, which parallelize progressive sampling
+// across the global pool. Because every estimate is a
 // pure function of (model, query) — per-query RNG derived from the query
 // fingerprint — the served results are bit-identical to sequential
 // EstimateCard calls no matter how requests interleave, batch, or hit the
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -34,13 +36,41 @@
 
 #include "core/servable.h"
 #include "serve/latency.h"
-#include "serve/micro_batcher.h"
 #include "serve/result_cache.h"
+#include "util/batch_queue.h"
+#include "util/common.h"
 #include "util/versioned_slot.h"
 #include "workload/join_workload.h"
 #include "workload/query.h"
 
 namespace uae::serve {
+
+/// What the service answers per query.
+struct ServeResult {
+  double card = 0.0;         ///< Estimated cardinality.
+  uint64_t generation = 0;   ///< Snapshot generation that produced the value.
+  bool cache_hit = false;
+};
+
+/// One in-flight estimation request. The query is copied in so the request
+/// outlives the caller's stack frame (needed for the future-based API).
+///
+/// Join sub-plan requests ride the same queue: `join_mask` is the joined-table
+/// bitset of a workload::JoinQuery (non-empty by construction — even a
+/// single-table sub-plan over the join universe has its own bit set — so it is
+/// never 0), with `query` holding the predicate part. join_mask == 0 means a
+/// plain single-table request. Either way `fingerprint` is the cache/RNG key
+/// (query.Fingerprint() or workload::JoinFingerprint respectively).
+struct EstimateRequest {
+  workload::Query query;
+  uint32_t join_mask = 0;  ///< 0: single-table; else JoinQuery::table_mask.
+  uint64_t fingerprint = 0;
+  std::promise<ServeResult> promise;
+  /// Stamped by util::BatchQueue::Push at admission. Anchors the batch
+  /// deadline and feeds the queue-wait observability hooks; callers leave it
+  /// alone.
+  std::chrono::steady_clock::time_point enqueued_at{};
+};
 
 struct ServiceConfig {
   // Micro-batch admission policy.
@@ -138,9 +168,9 @@ class EstimationService {
   // breaching its latency SLO (router/router.h) — before these hooks the
   // serving layer had request counters but no latency visibility at all.
   /// Requests admitted to the micro-batch queue and not yet dispatched.
-  size_t QueueDepth() const { return batcher_.Depth(); }
+  size_t QueueDepth() const { return queue_.Depth(); }
   /// Microseconds the oldest queued request has waited (0 when idle).
-  uint64_t OldestQueuedWaitMicros() const { return batcher_.OldestWaitMicros(); }
+  uint64_t OldestQueuedWaitMicros() const { return queue_.OldestWaitMicros(); }
   /// Distribution of Push -> dispatch queue waits over batched requests.
   LatencySnapshot QueueLatency() const { return queue_latency_.Snapshot(); }
 
@@ -164,14 +194,14 @@ class EstimationService {
   ServeResult EstimateInline(const EstimateRequest& request);
   /// Attributes `count` responses to `generation`.
   void CountAnswered(uint64_t generation, uint64_t count);
-  /// Dispatcher: drains micro-batches until the batcher closes.
+  /// Dispatcher: drains micro-batches until the queue closes.
   void DispatchLoop();
   void RunBatch(std::vector<EstimateRequest> batch);
 
   ServiceConfig config_;
   util::VersionedSlot<ModelSnapshot> slot_;
   ResultCache cache_;
-  MicroBatcher batcher_;
+  util::BatchQueue<EstimateRequest> queue_;
   std::thread dispatcher_;
 
   std::atomic<uint64_t> requests_{0};

@@ -18,7 +18,6 @@ UaeConfig TestConfig() {
   cfg.hidden = 48;
   cfg.blocks = 1;
   cfg.data_batch = 256;
-  cfg.wildcard_prob = 0.3f;
   cfg.ps_samples = 256;
   cfg.lr = 5e-3f;
   cfg.seed = 17;

@@ -150,5 +150,58 @@ TEST(IngestConcurrentTest, FlushIsABarrierUnderContention) {
   EXPECT_EQ(svc.stats().rows_appended, 800u);
 }
 
+TEST(IngestConcurrentTest, FlushCoversTheCallersRowsWhileOthersKeepAppending) {
+  // The test above joins every producer before it flushes. Here the flushing
+  // producer's rows are interleaved with three producers that are still
+  // appending when Flush() runs and after it returns.
+  data::Table table = data::SyntheticDmv(500, 3);
+  shard::PartitionConfig pc;
+  pc.num_shards = 2;
+  shard::HorizontalPartitioner part(table, pc);
+  IngestConfig ic;
+  ic.queue_capacity = 64;
+  ic.max_batch = 16;
+  IngestService svc(&table, &part, ic);
+
+  // The flushing producer appends copies of one marker row, which no other
+  // producer appends, so counting it counts exactly the flusher's rows.
+  const std::vector<int32_t> marker = table.RowCodes(0);
+  std::vector<std::vector<int32_t>> others;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<int32_t> row = table.RowCodes(r);
+    if (row != marker) others.push_back(std::move(row));
+  }
+  ASSERT_FALSE(others.empty());
+  auto count_markers = [&] {
+    auto pin = svc.PinTable();
+    const size_t n = table.num_rows();
+    size_t count = 0;
+    for (size_t r = 0; r < n; ++r) {
+      if (table.RowCodes(r) == marker) ++count;
+    }
+    return count;
+  };
+  const size_t base_markers = count_markers();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < 3; ++p) {
+    producers.emplace_back([&, p] {
+      for (size_t i = p; !stop.load(std::memory_order_acquire); ++i) {
+        if (!svc.AppendCodes(others[i % others.size()])) break;
+      }
+    });
+  }
+  constexpr size_t kMarkers = 300;
+  for (size_t i = 0; i < kMarkers; ++i) {
+    EXPECT_TRUE(svc.AppendCodes(marker));
+  }
+  svc.Flush();
+  EXPECT_EQ(count_markers(), base_markers + kMarkers);
+
+  stop.store(true, std::memory_order_release);
+  for (auto& t : producers) t.join();
+}
+
 }  // namespace
 }  // namespace uae::ingest

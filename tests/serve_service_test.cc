@@ -2,8 +2,8 @@
 // queries through the micro-batched service must be bit-identical to the
 // sequential Uae::EstimateCard path (PR 1's per-query RNG determinism),
 // with the result cache enabled and disabled, across batch compositions.
-// Also covers the MicroBatcher admission policy and the sharded LRU cache
-// in isolation.
+// Also covers the service's request queue (util::BatchQueue: admission
+// policy, backpressure, close) and the sharded LRU cache in isolation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +15,9 @@
 
 #include "core/uae.h"
 #include "data/synthetic.h"
-#include "serve/micro_batcher.h"
 #include "serve/result_cache.h"
 #include "serve/service.h"
+#include "util/batch_queue.h"
 #include "workload/generator.h"
 
 namespace uae::serve {
@@ -249,10 +249,13 @@ TEST(ServeServiceTest, QueueLatencyAndDepthObservability) {
   EXPECT_EQ(service.QueueDepth(), 0u);  // Blocking calls leave the queue idle.
 }
 
-// ---- MicroBatcher unit coverage -------------------------------------------
+// ---- Request-queue unit coverage -------------------------------------------
+// The service's own queue type. The suite keeps the name of the micro-batcher
+// this queue replaced.
+using RequestQueue = util::BatchQueue<EstimateRequest>;
 
 TEST(MicroBatcherTest, CoalescesUpToMaxBatch) {
-  MicroBatcher batcher(/*queue_capacity=*/64, /*max_batch=*/4,
+  RequestQueue batcher(/*queue_capacity=*/64, /*max_batch=*/4,
                        std::chrono::microseconds(50'000));
   for (int i = 0; i < 6; ++i) {
     EstimateRequest req;
@@ -268,7 +271,7 @@ TEST(MicroBatcherTest, CoalescesUpToMaxBatch) {
 }
 
 TEST(MicroBatcherTest, DeadlineFlushesPartialBatch) {
-  MicroBatcher batcher(/*queue_capacity=*/64, /*max_batch=*/1000,
+  RequestQueue batcher(/*queue_capacity=*/64, /*max_batch=*/1000,
                        std::chrono::microseconds(2'000));
   EstimateRequest req;
   ASSERT_TRUE(batcher.Push(std::move(req)));
@@ -289,7 +292,7 @@ TEST(MicroBatcherTest, DeadlineAnchorsAtArrivalNotDispatcherWakeup) {
   // arrival: if max_wait already elapsed in the queue, PopBatch must flush
   // immediately instead of parking for another max_wait.
   constexpr auto kMaxWait = std::chrono::microseconds(200'000);
-  MicroBatcher batcher(/*queue_capacity=*/64, /*max_batch=*/1000, kMaxWait);
+  RequestQueue batcher(/*queue_capacity=*/64, /*max_batch=*/1000, kMaxWait);
   EstimateRequest req;
   ASSERT_TRUE(batcher.Push(std::move(req)));
   // Deliberately delayed dispatcher: the request ages past max_wait.
@@ -305,7 +308,7 @@ TEST(MicroBatcherTest, DeadlineAnchorsAtArrivalNotDispatcherWakeup) {
 }
 
 TEST(MicroBatcherTest, DepthAndOldestWaitTrackQueue) {
-  MicroBatcher batcher(/*queue_capacity=*/64, /*max_batch=*/4,
+  RequestQueue batcher(/*queue_capacity=*/64, /*max_batch=*/4,
                        std::chrono::microseconds(100'000));
   EXPECT_EQ(batcher.Depth(), 0u);
   EXPECT_EQ(batcher.OldestWaitMicros(), 0u);
@@ -322,7 +325,7 @@ TEST(MicroBatcherTest, DepthAndOldestWaitTrackQueue) {
 }
 
 TEST(MicroBatcherTest, CloseDrainsAndUnblocks) {
-  MicroBatcher batcher(/*queue_capacity=*/8, /*max_batch=*/4,
+  RequestQueue batcher(/*queue_capacity=*/8, /*max_batch=*/4,
                        std::chrono::microseconds(100));
   EstimateRequest req;
   ASSERT_TRUE(batcher.Push(std::move(req)));
@@ -331,6 +334,41 @@ TEST(MicroBatcherTest, CloseDrainsAndUnblocks) {
   EXPECT_TRUE(batcher.PopBatch().empty());   // Then reports closed.
   EstimateRequest late;
   EXPECT_FALSE(batcher.Push(std::move(late)));
+}
+
+TEST(MicroBatcherTest, LeftoverAfterFullBatchKeepsItsArrivalDeadline) {
+  // A full batch leaves an item behind. Its deadline is still its own
+  // arrival + max_wait, not the moment the full batch was popped: once it has
+  // aged past max_wait, the next PopBatch flushes it without parking.
+  constexpr auto kMaxWait = std::chrono::microseconds(200'000);
+  RequestQueue batcher(/*queue_capacity=*/64, /*max_batch=*/2, kMaxWait);
+  for (int i = 0; i < 3; ++i) {
+    EstimateRequest req;
+    ASSERT_TRUE(batcher.Push(std::move(req)));
+  }
+  std::this_thread::sleep_for(kMaxWait + std::chrono::microseconds(20'000));
+  EXPECT_EQ(batcher.PopBatch().size(), 2u);
+  auto start = std::chrono::steady_clock::now();
+  std::vector<EstimateRequest> leftover = batcher.PopBatch();
+  auto parked = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(leftover.size(), 1u);
+  EXPECT_LT(parked, kMaxWait / 2);
+}
+
+TEST(MicroBatcherTest, AdmittedCountsOnlyAcceptedPushes) {
+  RequestQueue batcher(/*queue_capacity=*/8, /*max_batch=*/4,
+                       std::chrono::microseconds(100));
+  EXPECT_EQ(batcher.Admitted(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    EstimateRequest req;
+    ASSERT_TRUE(batcher.Push(std::move(req)));
+  }
+  EXPECT_EQ(batcher.PopBatch().size(), 2u);
+  EXPECT_EQ(batcher.Admitted(), 2u);  // Popping does not uncount.
+  batcher.Close();
+  EstimateRequest late;
+  EXPECT_FALSE(batcher.Push(std::move(late)));
+  EXPECT_EQ(batcher.Admitted(), 2u);
 }
 
 // ---- ResultCache unit coverage --------------------------------------------
