@@ -2,8 +2,7 @@
 // BuildTargets + ProgressiveSample call per query, the pre-wavefront serving
 // path) against the batched wavefront plane (EstimateCards: all in-flight
 // query x sample lanes advance one column per step through shared trunk
-// forwards), plus the int8-quantized backend riding the same wavefront and an
-// ungated wave-width sweep.
+// forwards), plus an ungated wave-width sweep.
 //
 // Emits BENCH_wavefront.json in the BENCH_kernels.json schema. The gated
 // entry is `wavefront/estimate_throughput`: its `speedup_vs_ref` is wavefront
@@ -18,7 +17,7 @@
 //
 // Usage:
 //   bench_wavefront [--out=BENCH_wavefront.json] [--rows=4000] [--queries=64]
-//                   [--ps-samples=512] [--wave-width=8] [--reps=3]
+//                   [--ps-samples=512] [--reps=3]
 //
 // The default sample count (512) is the serving-realistic regime (the paper
 // runs progressive sampling with 2000 samples on DMV); prefix deduplication
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "core/quant.h"
 #include "core/targets.h"
 #include "core/uae.h"
 #include "core/wavefront.h"
@@ -50,7 +48,6 @@ struct Options {
   int rows = 4000;
   int queries = 64;
   int ps_samples = 512;
-  int wave_width = 8;
   int reps = 3;  ///< Timed repetitions; the median qps is kept.
 };
 
@@ -81,7 +78,6 @@ int Run(int argc, char** argv) {
   opt.rows = std::max<int>(500, static_cast<int>(flags.GetInt("rows", opt.rows)));
   opt.queries = std::max<int>(8, static_cast<int>(flags.GetInt("queries", opt.queries)));
   opt.ps_samples = std::max<int>(8, static_cast<int>(flags.GetInt("ps-samples", opt.ps_samples)));
-  opt.wave_width = std::max<int>(1, static_cast<int>(flags.GetInt("wave-width", opt.wave_width)));
   opt.reps = std::max<int>(1, static_cast<int>(flags.GetInt("reps", opt.reps)));
 
   // Model under measurement: serving cost is what matters, so train briefly.
@@ -89,7 +85,6 @@ int Run(int argc, char** argv) {
   core::UaeConfig config;
   config.hidden = 32;
   config.ps_samples = opt.ps_samples;
-  config.wavefront_width = opt.wave_width;
   config.seed = 7;
   core::Uae uae(table, config);
   uae.TrainDataEpochs(1);
@@ -102,8 +97,9 @@ int Run(int argc, char** argv) {
   queries.reserve(static_cast<size_t>(opt.queries));
   for (int i = 0; i < opt.queries; ++i) queries.push_back(gen.Generate());
 
+  const int default_width = core::WavefrontConfig{}.wave_width;
   std::printf("wavefront bench: %d queries x %d samples, width %d, %d reps\n",
-              opt.queries, opt.ps_samples, opt.wave_width, opt.reps);
+              opt.queries, opt.ps_samples, default_width, opt.reps);
 
   // (a) Reference: the per-query progressive sampler, one call per query.
   std::vector<double> per_query_cards(queries.size());
@@ -133,15 +129,7 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // (c) Quantized backend on the same wavefront (ungated: different numerics).
-  core::QuantizedUae quant(uae);
-  double quant_qps = MeasureQps(opt.reps, opt.queries, [&] {
-    (void)quant.EstimateCards(queries);
-  });
-  std::printf("  wavefront int8  : %8.1f q/s  (%.2fx per-query)\n", quant_qps,
-              quant_qps / legacy_qps);
-
-  // (d) Ungated width sweep straight on the frozen backend.
+  // (c) Ungated width sweep straight on the frozen backend.
   std::vector<core::QueryTargets> targets;
   targets.reserve(queries.size());
   for (const auto& q : queries) {
@@ -154,8 +142,6 @@ int Run(int argc, char** argv) {
   results.push_back({name, 1e9 / legacy_qps, legacy_qps, 0.0});
   std::snprintf(name, sizeof(name), "wavefront/estimate_throughput");
   results.push_back({name, 1e9 / wave_qps, wave_qps, wave_qps / legacy_qps});
-  std::snprintf(name, sizeof(name), "wavefront/quantized_s%d", opt.ps_samples);
-  results.push_back({name, 1e9 / quant_qps, quant_qps, 0.0});
   for (int width : {1, 8, 32}) {
     double width_qps = MeasureQps(opt.reps, opt.queries, [&] {
       std::vector<util::Rng> rngs;
@@ -181,7 +167,7 @@ int Run(int argc, char** argv) {
   w.Member("rows", opt.rows);
   w.Member("queries", opt.queries);
   w.Member("ps_samples", opt.ps_samples);
-  w.Member("wave_width", opt.wave_width);
+  w.Member("wave_width", default_width);
   w.Member("reps", opt.reps);
 #ifdef NDEBUG
   w.Member("optimized_build", true);

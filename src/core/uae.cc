@@ -8,7 +8,6 @@
 #include "util/logging.h"
 #include "util/mathutil.h"
 #include "util/stopwatch.h"
-#include "util/threadpool.h"
 
 namespace uae::core {
 
@@ -379,42 +378,31 @@ double Uae::EstimateCard(const workload::Query& query) const {
   return EstimateSelectivity(query) * static_cast<double>(num_rows_);
 }
 
-namespace {
-
-/// Runs `estimate_one(i)` for i in [0, n), fanning across the pool. Batches
-/// smaller than the pool fan out over queries poorly while the in-worker
-/// inline rule suppresses nested GEMM parallelism, so those run sequentially
-/// (with parallel GEMMs) instead. Results are index-deterministic either way.
-void ForEachQuery(size_t n, const std::function<void(size_t)>& estimate_one) {
-  auto chunk = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) estimate_one(i);
-  };
-  if (n < util::GlobalPool().num_threads()) {
-    chunk(0, n);
-  } else {
-    util::ParallelFor(0, n, chunk, /*min_parallel_size=*/1);
-  }
+std::vector<double> Uae::WavefrontSelectivities(
+    std::span<const QueryTargets> targets,
+    std::span<const uint64_t> fingerprints) const {
+  // All queries advance column-by-column through shared batched forwards over
+  // the frozen backend. Per-query RNG purity keeps every element
+  // bit-identical to the per-query sampler run on the same stream.
+  std::vector<util::Rng> rngs;
+  rngs.reserve(fingerprints.size());
+  for (uint64_t fp : fingerprints) rngs.push_back(EstimationRng(fp));
+  WavefrontConfig wc;
+  wc.num_samples = config_.ps_samples;
+  return WavefrontSampleSelectivities(*FrozenBackend(), targets, rngs, wc);
 }
-
-}  // namespace
 
 std::vector<double> Uae::EstimateSelectivities(
     std::span<const workload::Query> queries) const {
-  // Wavefront path: all queries advance column-by-column through shared
-  // batched forwards over the frozen backend. Per-query RNG purity keeps
-  // every element bit-identical to EstimateSelectivity(queries[i]).
   std::vector<QueryTargets> targets;
-  std::vector<util::Rng> rngs;
+  std::vector<uint64_t> fingerprints;
   targets.reserve(queries.size());
-  rngs.reserve(queries.size());
+  fingerprints.reserve(queries.size());
   for (const workload::Query& q : queries) {
     targets.push_back(BuildTargets(q, *table_, schema_));
-    rngs.push_back(EstimationRng(q.Fingerprint()));
+    fingerprints.push_back(q.Fingerprint());
   }
-  WavefrontConfig wc;
-  wc.num_samples = config_.ps_samples;
-  wc.wave_width = std::max(1, config_.wavefront_width);
-  return WavefrontSampleSelectivities(*FrozenBackend(), targets, rngs, wc);
+  return WavefrontSelectivities(targets, fingerprints);
 }
 
 std::vector<double> Uae::EstimateCards(
@@ -441,9 +429,16 @@ double Uae::EstimateJoinCard(const workload::JoinQuery& query) const {
 std::vector<double> Uae::EstimateJoinCards(
     std::span<const workload::JoinQuery> queries) const {
   UAE_CHECK(universe_ != nullptr);
-  std::vector<double> cards(queries.size(), 0.0);
-  ForEachQuery(queries.size(),
-               [&](size_t i) { cards[i] = EstimateJoinCard(queries[i]); });
+  std::vector<QueryTargets> targets;
+  std::vector<uint64_t> fingerprints;
+  targets.reserve(queries.size());
+  fingerprints.reserve(queries.size());
+  for (const workload::JoinQuery& q : queries) {
+    targets.push_back(BuildJoinTargets(q, *universe_, schema_));
+    fingerprints.push_back(workload::JoinFingerprint(q));
+  }
+  std::vector<double> cards = WavefrontSelectivities(targets, fingerprints);
+  for (double& c : cards) c *= static_cast<double>(universe_->full_join_rows);
   return cards;
 }
 

@@ -55,10 +55,6 @@ struct UaeConfig {
 
   // Inference.
   int ps_samples = 200;    ///< Progressive-sampling estimate samples.
-  /// Queries advanced together by the wavefront sampler in the batched
-  /// estimate paths. Any width produces bit-identical estimates (per-query
-  /// RNG purity); the width only trades GEMM batch size against memory.
-  int wavefront_width = 8;
 
   uint64_t seed = 1;
 };
@@ -106,7 +102,8 @@ class Uae : public ServableModel {
   // Estimates draw progressive samples from an RNG seeded per query from
   // (config.seed, query fingerprint), so every estimate is a pure function of
   // the model and the query: independent of call order, batch composition,
-  // and thread count. Batched variants fan queries across the global pool.
+  // and thread count. Batched variants run the wavefront sampler, whose waves
+  // fan across the global pool.
   double EstimateSelectivity(const workload::Query& query) const;
   double EstimateCard(const workload::Query& query) const override;
   /// ServableModel: join estimation is available iff this estimator was
@@ -185,6 +182,12 @@ class Uae : public ServableModel {
   std::vector<std::vector<int32_t>>& MutableVcodes();
   /// Independent estimation RNG for one query (seed x fingerprint mix).
   util::Rng EstimationRng(uint64_t fingerprint) const;
+  /// The batched driver behind EstimateSelectivities and EstimateJoinCards:
+  /// wavefront sampling over FrozenBackend(), query i drawing from
+  /// EstimationRng(fingerprints[i]).
+  std::vector<double> WavefrontSelectivities(
+      std::span<const QueryTargets> targets,
+      std::span<const uint64_t> fingerprints) const;
   /// Drops the cached frozen backend; every parameter mutation calls this.
   void InvalidateFrozen();
   /// One optimizer step for the given loss graph.

@@ -22,6 +22,20 @@ nn::Mat PreMask(const nn::MaskedLinear& layer) {
 
 size_t MatBytes(const nn::Mat& m) { return m.size() * sizeof(float); }
 
+/// Reshapes `m` if needed; contents are unspecified afterwards.
+void EnsureShape(nn::Mat* m, int rows, int cols) {
+  if (m->rows() != rows || m->cols() != cols) *m = nn::Mat(rows, cols);
+}
+
+/// Reshapes `m` if needed and zeroes it (GEMM accumulation target).
+void EnsureZeroed(nn::Mat* m, int rows, int cols) {
+  if (m->rows() == rows && m->cols() == cols) {
+    m->Zero();
+  } else {
+    *m = nn::Mat(rows, cols);
+  }
+}
+
 /// Bitwise content hash of one lane input row (8-byte chunks through
 /// SplitMix64). Equal sampled prefixes produce bitwise-equal rows, so hashing
 /// raw bytes is exact up to collisions, which the caller resolves by memcmp.
@@ -45,9 +59,8 @@ uint64_t HashRow(const float* p, int n) {
 
 }  // namespace
 
-InferenceBackend::InferenceBackend(const MadeModel& model,
-                                   const data::VirtualSchema* schema)
-    : schema_(schema != nullptr ? schema : &model.schema()) {
+FrozenMadeBackend::FrozenMadeBackend(const MadeModel& model)
+    : schema_(&model.schema()) {
   const int n_vc = model.num_vcols();
   encoders_.reserve(static_cast<size_t>(n_vc));
   offsets_.reserve(static_cast<size_t>(n_vc));
@@ -58,31 +71,24 @@ InferenceBackend::InferenceBackend(const MadeModel& model,
     widths_.push_back(model.encoded_width(vc));
     input_width_ += model.encoded_width(vc);
   }
+  w_in_ = PreMask(model.input_layer());
   b_in_ = model.input_layer().bias()->value();
   hidden_ = b_in_.cols();
+  w1_.reserve(model.blocks().size());
+  w2_.reserve(model.blocks().size());
   b1_.reserve(model.blocks().size());
   b2_.reserve(model.blocks().size());
   for (const auto& block : model.blocks()) {
+    w1_.push_back(PreMask(block.fc1()));
+    w2_.push_back(PreMask(block.fc2()));
     b1_.push_back(block.fc1().bias()->value());
     b2_.push_back(block.fc2().bias()->value());
   }
+  head_w_.reserve(static_cast<size_t>(n_vc));
   head_b_.reserve(static_cast<size_t>(n_vc));
-  for (int vc = 0; vc < n_vc; ++vc) head_b_.push_back(model.head(vc).bias()->value());
-}
-
-FrozenMadeBackend::FrozenMadeBackend(const MadeModel& model,
-                                     const data::VirtualSchema* schema)
-    : InferenceBackend(model, schema) {
-  w_in_ = PreMask(model.input_layer());
-  w1_.reserve(model.blocks().size());
-  w2_.reserve(model.blocks().size());
-  for (const auto& block : model.blocks()) {
-    w1_.push_back(PreMask(block.fc1()));
-    w2_.push_back(PreMask(block.fc2()));
-  }
-  head_w_.reserve(static_cast<size_t>(model.num_vcols()));
-  for (int vc = 0; vc < model.num_vcols(); ++vc) {
+  for (int vc = 0; vc < n_vc; ++vc) {
     head_w_.push_back(PreMask(model.head(vc)));
+    head_b_.push_back(model.head(vc).bias()->value());
   }
 }
 
@@ -117,18 +123,6 @@ void FrozenMadeBackend::ForwardProbs(int vc, const nn::Mat& x,
   nn::SoftmaxRowsInplace(&ws->probs);
 }
 
-size_t FrozenMadeBackend::SizeBytes() const {
-  size_t total = MatBytes(w_in_) + MatBytes(b_in_);
-  for (const auto& m : encoders_) total += MatBytes(m);
-  for (const auto& m : w1_) total += MatBytes(m);
-  for (const auto& m : w2_) total += MatBytes(m);
-  for (const auto& m : b1_) total += MatBytes(m);
-  for (const auto& m : b2_) total += MatBytes(m);
-  for (const auto& m : head_w_) total += MatBytes(m);
-  for (const auto& m : head_b_) total += MatBytes(m);
-  return total;
-}
-
 namespace {
 
 /// Per-query lane state inside one wave.
@@ -144,7 +138,7 @@ struct LaneBlock {
 
 }  // namespace
 
-std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend,
+std::vector<double> WavefrontSampleSelectivities(const FrozenMadeBackend& backend,
                                                  std::span<const QueryTargets> targets,
                                                  std::span<util::Rng> rngs,
                                                  const WavefrontConfig& config) {

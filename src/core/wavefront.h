@@ -38,29 +38,20 @@ struct WavefrontWorkspace {
   nn::Mat probs;  ///< Head probabilities [m, vdomain(vc)].
 };
 
-/// Reshapes `m` if needed; contents are unspecified afterwards.
-inline void EnsureShape(nn::Mat* m, int rows, int cols) {
-  if (m->rows() != rows || m->cols() != cols) *m = nn::Mat(rows, cols);
-}
-
-/// Reshapes `m` if needed and zeroes it (GEMM accumulation target).
-inline void EnsureZeroed(nn::Mat* m, int rows, int cols) {
-  if (m->rows() == rows && m->cols() == cols) {
-    m->Zero();
-  } else {
-    *m = nn::Mat(rows, cols);
-  }
-}
-
-/// A frozen, immutable inference plane over a ResMADE model: snapshots the
-/// encoders, biases and layout once so forwards run as raw kernel calls with
-/// no autograd graph and no per-op allocation. Implementations must be
-/// row-deterministic: probs row i depends only on x row i, for any batch
-/// composition and thread count — that property is what lets the wavefront
-/// batch lanes of unrelated queries together without perturbing estimates.
-class InferenceBackend {
+/// A frozen, immutable fp32 inference plane over a ResMADE model: snapshots
+/// the encoders, biases, layout and pre-masked weights (W ⊙ M computed once,
+/// bitwise the same product MaskedMatMul forms per call) so forwards run as
+/// the exact kernel sequence of MadeModel::Trunk/HeadProbs with no autograd
+/// graph and no per-op allocation. Row-deterministic: probs row i depends only
+/// on x row i, for any batch composition and thread count — that property is
+/// what lets the wavefront batch lanes of unrelated queries together, and the
+/// replay is what keeps a wavefront estimate bit-identical to the per-query
+/// sampler's.
+class FrozenMadeBackend {
  public:
-  virtual ~InferenceBackend() = default;
+  /// Copies everything it needs from `model` except the schema, which it
+  /// references: model.schema() must outlive this backend.
+  explicit FrozenMadeBackend(const MadeModel& model);
 
   const data::VirtualSchema& schema() const { return *schema_; }
   int num_vcols() const { return schema_->num_virtual(); }
@@ -78,51 +69,29 @@ class InferenceBackend {
 
   /// Writes softmaxed head-`vc` probabilities for the gathered lane rows of
   /// `x` into ws->probs ([x.rows(), vdomain(vc)]), using ws for
-  /// intermediates. Must not retain pointers into ws across calls.
-  virtual void ForwardProbs(int vc, const nn::Mat& x,
-                            WavefrontWorkspace* ws) const = 0;
+  /// intermediates. Retains no pointers into ws across calls.
+  void ForwardProbs(int vc, const nn::Mat& x, WavefrontWorkspace* ws) const;
 
-  virtual size_t SizeBytes() const = 0;
-
- protected:
-  /// Copies encoders, biases and layout from `model`. `schema` overrides the
-  /// schema pointer (pass the owner's long-lived copy); nullptr means
-  /// &model.schema(), which must then outlive this backend.
-  InferenceBackend(const MadeModel& model, const data::VirtualSchema* schema);
-
+ private:
   const data::VirtualSchema* schema_;
   std::vector<nn::Mat> encoders_;  ///< Per vcol, (domain+1) x width copies.
   std::vector<int> offsets_;
   std::vector<int> widths_;
   int input_width_ = 0;
   int hidden_ = 0;
-  nn::Mat b_in_;                  ///< Input-layer bias [1, hidden].
-  std::vector<nn::Mat> b1_, b2_;  ///< Residual-block biases, per block.
-  std::vector<nn::Mat> head_b_;   ///< Head biases, per vcol.
-};
-
-/// Fp32 backend: pre-masked weight copies (W ⊙ M computed once, bitwise the
-/// same product MaskedMatMul forms per call) plus the exact kernel sequence of
-/// MadeModel::Trunk/HeadProbs, so a wavefront estimate is bit-identical to
-/// the per-query sampler's.
-class FrozenMadeBackend : public InferenceBackend {
- public:
-  explicit FrozenMadeBackend(const MadeModel& model,
-                             const data::VirtualSchema* schema = nullptr);
-
-  void ForwardProbs(int vc, const nn::Mat& x,
-                    WavefrontWorkspace* ws) const override;
-  size_t SizeBytes() const override;
-
- private:
   nn::Mat w_in_;                  ///< Pre-masked input weights [in, hidden].
+  nn::Mat b_in_;                  ///< Input-layer bias [1, hidden].
   std::vector<nn::Mat> w1_, w2_;  ///< Pre-masked block weights, per block.
+  std::vector<nn::Mat> b1_, b2_;  ///< Residual-block biases, per block.
   std::vector<nn::Mat> head_w_;   ///< Pre-masked head weights, per vcol.
+  std::vector<nn::Mat> head_b_;   ///< Head biases, per vcol.
 };
 
 struct WavefrontConfig {
   int num_samples = 200;  ///< Progressive-sampling lanes per query.
-  int wave_width = 8;     ///< Queries advanced together per wave.
+  /// Queries advanced together per wave. Every width gives bit-identical
+  /// estimates; the width only trades GEMM batch size against memory.
+  int wave_width = 8;
 };
 
 /// Runs progressive sampling for all queries, `wave_width` queries at a time,
@@ -130,9 +99,9 @@ struct WavefrontConfig {
 /// stream the per-query sampler would use for `targets[i]`; element i of the
 /// result is then bit-identical to
 /// ProgressiveSample(model, targets[i], num_samples, &rngs[i]) when `backend`
-/// is a FrozenMadeBackend over the same model. Waves are independent and may
-/// run on pool workers; results do not depend on the thread count.
-std::vector<double> WavefrontSampleSelectivities(const InferenceBackend& backend,
+/// is frozen from the same model. Waves are independent and may run on pool
+/// workers; results do not depend on the thread count.
+std::vector<double> WavefrontSampleSelectivities(const FrozenMadeBackend& backend,
                                                  std::span<const QueryTargets> targets,
                                                  std::span<util::Rng> rngs,
                                                  const WavefrontConfig& config);

@@ -449,145 +449,6 @@ void LogSoftmaxRows(const Mat& in, Mat* out) {
   }
 }
 
-namespace {
-
-// ---- Quantized GEMM microkernels ------------------------------------------
-//
-// Same dot-product shape as GemmNtRows4/1, with the int8 weight row widened
-// to float in the inner loop (one cvt per element — vectorizes to pmovsxbd +
-// cvtdq2ps) and the per-output-channel dequant scale applied once per dot in
-// the epilogue, before the accumulate into C.
-
-void GemmNtQuantRows4(const Mat& a, const QuantizedMat& b, int i0, Mat* c) {
-  const int k = a.cols(), n = b.rows;
-  const float* a0 = a.row(i0);
-  const float* a1 = a.row(i0 + 1);
-  const float* a2 = a.row(i0 + 2);
-  const float* a3 = a.row(i0 + 3);
-  float* c0 = c->row(i0);
-  float* c1 = c->row(i0 + 1);
-  float* c2 = c->row(i0 + 2);
-  float* c3 = c->row(i0 + 3);
-  for (int j = 0; j < n; ++j) {
-    const int8_t* brow = b.row(j);
-    const float scale = b.scales[static_cast<size_t>(j)];
-    float t0[kReduceLanes] = {}, t1[kReduceLanes] = {};
-    float t2[kReduceLanes] = {}, t3[kReduceLanes] = {};
-    int p = 0;
-    for (; p + kReduceLanes <= k; p += kReduceLanes) {
-      for (int l = 0; l < kReduceLanes; ++l) {
-        const float bv = static_cast<float>(brow[p + l]);
-        t0[l] += a0[p + l] * bv;
-        t1[l] += a1[p + l] * bv;
-        t2[l] += a2[p + l] * bv;
-        t3[l] += a3[p + l] * bv;
-      }
-    }
-    for (; p < k; ++p) {
-      const float bv = static_cast<float>(brow[p]);
-      const int l = p & (kReduceLanes - 1);
-      t0[l] += a0[p] * bv;
-      t1[l] += a1[p] * bv;
-      t2[l] += a2[p] * bv;
-      t3[l] += a3[p] * bv;
-    }
-    float s0 = 0.f, s1 = 0.f, s2 = 0.f, s3 = 0.f;
-    for (int l = 0; l < kReduceLanes; ++l) {
-      s0 += t0[l];
-      s1 += t1[l];
-      s2 += t2[l];
-      s3 += t3[l];
-    }
-    c0[j] += s0 * scale;
-    c1[j] += s1 * scale;
-    c2[j] += s2 * scale;
-    c3[j] += s3 * scale;
-  }
-}
-
-void GemmNtQuantRows1(const Mat& a, const QuantizedMat& b, int i, Mat* c) {
-  const int k = a.cols(), n = b.rows;
-  const float* arow = a.row(i);
-  float* crow = c->row(i);
-  for (int j = 0; j < n; ++j) {
-    const int8_t* brow = b.row(j);
-    float t[kReduceLanes] = {};
-    int p = 0;
-    for (; p + kReduceLanes <= k; p += kReduceLanes) {
-      for (int l = 0; l < kReduceLanes; ++l) {
-        t[l] += arow[p + l] * static_cast<float>(brow[p + l]);
-      }
-    }
-    for (; p < k; ++p) {
-      t[p & (kReduceLanes - 1)] += arow[p] * static_cast<float>(brow[p]);
-    }
-    float s = 0.f;
-    for (int l = 0; l < kReduceLanes; ++l) s += t[l];
-    crow[j] += s * b.scales[static_cast<size_t>(j)];
-  }
-}
-
-}  // namespace
-
-QuantizedMat QuantizePerRowAbsMax(const Mat& w) {
-  QuantizedMat out;
-  out.rows = w.rows();
-  out.cols = w.cols();
-  out.q.resize(static_cast<size_t>(w.rows()) * static_cast<size_t>(w.cols()));
-  out.scales.resize(static_cast<size_t>(w.rows()));
-  for (int r = 0; r < w.rows(); ++r) {
-    const float* src = w.row(r);
-    float absmax = 0.f;
-    for (int c = 0; c < w.cols(); ++c) absmax = std::max(absmax, std::fabs(src[c]));
-    const float scale = absmax > 0.f ? absmax / 127.f : 1.f;
-    out.scales[static_cast<size_t>(r)] = scale;
-    const float inv = 1.f / scale;
-    int8_t* dst = out.q.data() + static_cast<size_t>(r) * static_cast<size_t>(w.cols());
-    for (int c = 0; c < w.cols(); ++c) {
-      const float v = std::nearbyint(src[c] * inv);
-      dst[c] = static_cast<int8_t>(std::max(-127.f, std::min(127.f, v)));
-    }
-  }
-  return out;
-}
-
-QuantizedMat QuantizeColsAsRows(const Mat& w) {
-  Mat t(w.cols(), w.rows());
-  for (int r = 0; r < w.rows(); ++r) {
-    const float* src = w.row(r);
-    for (int c = 0; c < w.cols(); ++c) t.at(c, r) = src[c];
-  }
-  return QuantizePerRowAbsMax(t);
-}
-
-void Dequantize(const QuantizedMat& qm, Mat* out) {
-  UAE_CHECK(out->rows() == qm.rows && out->cols() == qm.cols);
-  for (int r = 0; r < qm.rows; ++r) {
-    const int8_t* src = qm.row(r);
-    const float scale = qm.scales[static_cast<size_t>(r)];
-    float* dst = out->row(r);
-    for (int c = 0; c < qm.cols; ++c) dst[c] = static_cast<float>(src[c]) * scale;
-  }
-}
-
-void GemmNtQuantAccum(const Mat& a, const QuantizedMat& b, Mat* c) {
-  const int m = a.rows(), k = a.cols(), n = b.rows;
-  UAE_CHECK_EQ(b.cols, k);
-  UAE_CHECK(c->rows() == m && c->cols() == n);
-  if (m == 0 || n == 0 || k == 0) return;
-  auto body = [&](size_t blk0, size_t blk1) {
-    for (size_t blk = blk0; blk < blk1; ++blk) {
-      const int i0 = static_cast<int>(blk) * kGemmRowTile;
-      if (i0 + kGemmRowTile <= m) {
-        GemmNtQuantRows4(a, b, i0, c);
-      } else {
-        for (int i = i0; i < m; ++i) GemmNtQuantRows1(a, b, i, c);
-      }
-    }
-  };
-  ForEachRowBlock(size_t(m) * k * n, m, body);
-}
-
 void MulElem(const Mat& a, const Mat& b, Mat* out) {
   UAE_CHECK(a.SameShape(b));
   UAE_CHECK(out->SameShape(a));

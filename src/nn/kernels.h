@@ -77,42 +77,6 @@ void LogSoftmaxRows(const Mat& in, Mat* out);
 /// softmax kernels wide instead of serialized on scalar expf.
 float FastExpf(float x);
 
-// ---- Quantized inference kernels (int8 weights, fp32 accumulate) ----------
-
-/// Int8 weight matrix with one fp32 dequantization scale per row. Stored
-/// transposed relative to GemmAccum's B operand: row j holds output channel j
-/// (length k), so the quantized GEMM runs in dot-product (Nt) form and the
-/// per-row scale becomes a per-output-channel epilogue multiply.
-struct QuantizedMat {
-  int rows = 0;  ///< Output channels.
-  int cols = 0;  ///< Input depth (k).
-  std::vector<int8_t> q;      ///< rows x cols, row-major codes in [-127, 127].
-  std::vector<float> scales;  ///< Per-row dequantization scale, length rows.
-
-  const int8_t* row(int r) const {
-    return q.data() + static_cast<size_t>(r) * static_cast<size_t>(cols);
-  }
-  size_t SizeBytes() const {
-    return q.size() * sizeof(int8_t) + scales.size() * sizeof(float);
-  }
-};
-
-/// Symmetric per-row absmax quantization: scale[r] = absmax(row r)/127 (1 for
-/// all-zero rows), codes round-to-nearest, clamped to [-127, 127].
-QuantizedMat QuantizePerRowAbsMax(const Mat& w);
-
-/// Transposes [k, n] -> [n, k] then quantizes per row — the natural path for a
-/// layer weight whose quantization groups are output channels.
-QuantizedMat QuantizeColsAsRows(const Mat& w);
-
-/// Reconstructs the fp32 matrix (same [rows, cols] layout as the codes).
-void Dequantize(const QuantizedMat& qm, Mat* out);
-
-/// C[m,n] += A[m,k] * Bq^T with fp32 accumulation and the dequant epilogue:
-/// C[i][j] += scales[j] * <A row i, codes row j>. Deterministic per output
-/// element for any thread count (same row-block split as GemmNtAccum).
-void GemmNtQuantAccum(const Mat& a, const QuantizedMat& b, Mat* c);
-
 /// out = a (elementwise) * b.
 void MulElem(const Mat& a, const Mat& b, Mat* out);
 

@@ -36,25 +36,6 @@ void GemmAccum(const Mat& a, const Mat& b, Mat* c) {
   }
 }
 
-void GemmNtQuantAccum(const Mat& a, const QuantizedMat& b, Mat* c) {
-  const int m = a.rows(), k = a.cols(), n = b.rows;
-  UAE_CHECK_EQ(b.cols, k);
-  UAE_CHECK(c->rows() == m && c->cols() == n);
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c->row(i);
-    for (int j = 0; j < n; ++j) {
-      const int8_t* brow = b.row(j);
-      const float scale = b.scales[static_cast<size_t>(j)];
-      float acc = 0.f;
-      for (int p = 0; p < k; ++p) {
-        acc += arow[p] * (static_cast<float>(brow[p]) * scale);
-      }
-      crow[j] += acc;
-    }
-  }
-}
-
 void GemmNtAccum(const Mat& a, const Mat& b, Mat* c) {
   const int m = a.rows(), k = a.cols(), n = b.rows();
   UAE_CHECK_EQ(b.cols(), k);

@@ -19,11 +19,6 @@ void GemmNtAccum(const Mat& a, const Mat& b, Mat* c);
 /// C += A(k,m)^T * B(k,n). Fully serial k-outer loop.
 void GemmTnAccum(const Mat& a, const Mat& b, Mat* c);
 
-/// C += A(m,k) * Bq(n,k)^T with the per-row dequant scale applied per
-/// element (no epilogue, no lanes): the ground truth for the tolerance-bounded
-/// parity test of nn::GemmNtQuantAccum.
-void GemmNtQuantAccum(const Mat& a, const QuantizedMat& b, Mat* c);
-
 /// out[r,:] = in[r,:] + bias[0,:].
 void AddBiasRows(const Mat& in, const Mat& bias, Mat* out);
 

@@ -8,7 +8,7 @@
 //   * Served (ServedCardProvider): sub-plan estimates go through a
 //     serve::EstimationService, so concurrent planner threads coalesce into
 //     shared micro-batches, share the generation-keyed result cache, and
-//     transparently pick up hot-swapped (fine-tuned or quantized) snapshots.
+//     transparently pick up hot-swapped (fine-tuned or refreshed) snapshots.
 //     An optional SubplanMemo short-circuits sub-plans whose true
 //     cardinality has already been observed from executed plans.
 #pragma once
@@ -89,7 +89,7 @@ class UaeCardProvider : public JoinCardProvider {
 ///      CURRENT snapshot generation, cached per (JoinFingerprint, generation).
 ///
 /// Because the service cache is generation-keyed, a PublishSnapshot
-/// (fine-tuned clone, quantized plane, sharded model) is picked up on the
+/// (fine-tuned clone, refreshed or sharded model) is picked up on the
 /// next estimate with no provider-side invalidation — this provider holds NO
 /// generation-blind state, unlike UaeCardProvider's local memo.
 ///

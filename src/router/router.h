@@ -2,7 +2,7 @@
 // per-query-class routing and graceful degradation.
 //
 // Backends:
-//   * primary — the served deep model (UAE, sharded, quantized — any
+//   * primary — the served deep model (UAE or sharded — any
 //     ServableModel). Default for every class: accurate, milliseconds.
 //   * candidates, in precedence order (kCandidates): the kNN — an online
 //     per-class k-nearest-neighbour regression over recent (literal

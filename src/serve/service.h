@@ -132,8 +132,8 @@ class EstimationService {
   // ones: the same micro-batch queue (concurrent planner threads coalesce
   // into shared batches), the same (fingerprint, generation)-keyed result
   // cache (keyed by workload::JoinFingerprint, so a hot-swap invalidates by
-  // construction), and the same snapshot slot — a published quantized or
-  // fine-tuned snapshot starts answering sub-plan estimates transparently.
+  // construction), and the same snapshot slot — a newly published snapshot
+  // starts answering sub-plan estimates transparently.
   // The published model must return SupportsJoinQueries() == true; routing a
   // join request to one that does not is a CHECK failure.
 

@@ -1,15 +1,14 @@
 // ServedCardProvider: the optimizer-in-the-loop serving path. Pins the parity
 // contract (service-routed sub-plan estimates are bit-identical to direct
 // model calls for a fixed snapshot generation), concurrent planner threads
-// sharing one provider, transparent hot-swap pickup of a published quantized
-// snapshot, and the SubplanMemo short-circuit.
+// sharing one provider, transparent hot-swap pickup of a published snapshot,
+// and the SubplanMemo short-circuit.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "core/quant.h"
 #include "core/uae.h"
 #include "data/imdb_star.h"
 #include "optimizer/card_provider.h"
@@ -135,33 +134,33 @@ TEST(ServedCardProviderTest, ConcurrentPlannersSharingOneProviderAgree) {
       << "threads re-planning the same workload should share cached results";
 }
 
-TEST(ServedCardProviderTest, PicksUpPublishedQuantizedSnapshot) {
+TEST(ServedCardProviderTest, PicksUpPublishedSnapshot) {
   ServingFixture& f = Shared();
   serve::EstimationService service(f.uae->CloneServable());
   ServedCardProvider served(f.uni, &service);
   const workload::JoinQuery& q = f.queries.front();
 
-  // Generation 1: the full-precision model answers.
+  // Generation 1: the incumbent answers.
   EXPECT_EQ(served.Card(q, q.table_mask), f.Direct(q, q.table_mask));
 
-  // Publish an int8-quantized snapshot — the serving plane the optimizer is
-  // supposed to pick up transparently, with no provider-side invalidation.
-  auto quant = std::make_shared<core::QuantizedUae>(*f.uae);
-  ASSERT_TRUE(quant->SupportsJoinQueries());
-  EXPECT_EQ(service.PublishSnapshot(quant), 2u);
+  // Publish a further-trained clone — the optimizer is supposed to pick it up
+  // transparently, with no provider-side invalidation.
+  std::shared_ptr<core::Uae> next = f.uae->Clone();
+  next->TrainDataEpochs(1);
+  EXPECT_EQ(service.PublishSnapshot(next), 2u);
 
   int changed = 0;
   for (uint32_t s : Submasks(q.table_mask)) {
     workload::JoinQuery sub = workload::RestrictToSubset(f.uni, q, s);
     serve::ServeResult r = service.EstimateJoin(sub);
     EXPECT_EQ(r.generation, 2u) << "submask " << s;
-    // Bit-identical to calling the quantized model directly...
-    EXPECT_EQ(r.card, quant->EstimateJoinCard(sub)) << "submask " << s;
+    // Bit-identical to calling the published model directly...
+    EXPECT_EQ(r.card, next->EstimateJoinCard(sub)) << "submask " << s;
     EXPECT_EQ(served.Card(q, s), r.card) << "submask " << s;
-    // ... and (generically) different from the full-precision answer.
+    // ... and (generically) different from the incumbent's answer.
     if (r.card != f.Direct(q, s)) ++changed;
   }
-  EXPECT_GT(changed, 0) << "quantization left every sub-plan estimate "
+  EXPECT_GT(changed, 0) << "the extra epoch left every sub-plan estimate "
                            "bit-identical; hot-swap test is vacuous";
 }
 

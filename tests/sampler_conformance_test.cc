@@ -11,7 +11,9 @@
 //  * zero-mass early exit: provably-empty predicates estimate exactly zero
 //    without perturbing neighbouring lanes or queries;
 //  * seeded property sweeps: 300 generator queries per dataset, wavefront vs
-//    per-query, exact equality.
+//    per-query, exact equality;
+//  * join sub-plans (fanout-weight and indicator targets): batched, shuffled
+//    and explicit-width wavefront runs against per-query EstimateJoinCard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +22,13 @@
 #include <vector>
 
 #include "core/progressive.h"
-#include "core/quant.h"
 #include "core/uae.h"
 #include "core/wavefront.h"
+#include "data/imdb_star.h"
 #include "data/synthetic.h"
 #include "util/mathutil.h"
 #include "workload/generator.h"
+#include "workload/join_workload.h"
 
 namespace uae::core {
 namespace {
@@ -87,21 +90,33 @@ std::vector<double> ReferenceSelectivities(const Dataset& d,
   return out;
 }
 
-/// Direct wavefront run at an explicit width over the frozen backend.
+/// Direct wavefront run at an explicit width over the frozen backend, with
+/// the serving RNG scheme (seed x fingerprint).
+std::vector<double> WavefrontAtWidth(const Uae& uae,
+                                     std::span<const QueryTargets> targets,
+                                     std::span<const uint64_t> fingerprints,
+                                     int width) {
+  std::vector<util::Rng> rngs;
+  for (uint64_t fp : fingerprints) {
+    rngs.push_back(
+        util::Rng(util::SplitMix64(uae.config().seed ^ util::SplitMix64(fp))));
+  }
+  WavefrontConfig wc;
+  wc.num_samples = uae.config().ps_samples;
+  wc.wave_width = width;
+  return WavefrontSampleSelectivities(*uae.FrozenBackend(), targets, rngs, wc);
+}
+
 std::vector<double> WavefrontAtWidth(const Dataset& d,
                                      std::span<const workload::Query> qs,
                                      int width) {
   std::vector<QueryTargets> targets;
-  std::vector<util::Rng> rngs;
+  std::vector<uint64_t> fingerprints;
   for (const auto& q : qs) {
     targets.push_back(BuildTargets(q, d.table, d.uae.schema()));
-    rngs.push_back(util::Rng(util::SplitMix64(
-        d.uae.config().seed ^ util::SplitMix64(q.Fingerprint()))));
+    fingerprints.push_back(q.Fingerprint());
   }
-  WavefrontConfig wc;
-  wc.num_samples = d.uae.config().ps_samples;
-  wc.wave_width = width;
-  return WavefrontSampleSelectivities(*d.uae.FrozenBackend(), targets, rngs, wc);
+  return WavefrontAtWidth(d.uae, targets, fingerprints, width);
 }
 
 TEST(SamplerConformanceTest, BitwiseParityAcrossWavefrontWidths) {
@@ -233,22 +248,63 @@ TEST(SamplerConformanceTest, PropertySweepDmv) {
   for (size_t i = 0; i < w64.size(); ++i) EXPECT_EQ(w64[i], reference[i]);
 }
 
-TEST(SamplerConformanceTest, QuantizedEstimatesArePureButNotFp32) {
-  // The quantized backend rides the same wavefront: its estimates must be
-  // pure per query (batch-invariant) while generally differing from fp32.
-  Dataset& d = Correlated();
-  QuantizedUae quant(d.uae);
-  std::span<const workload::Query> qs(d.queries.data(), 16);
-  std::vector<double> batched = quant.EstimateCards(qs);
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(quant.EstimateCard(qs[i]), batched[i]) << "query " << i;
+TEST(SamplerConformanceTest, JoinSubplanParityAcrossWidthsAndBatches) {
+  // Join sub-plans ride the same wavefront as single-table queries: every
+  // sub-plan the optimizer can cost, so tables left out carry fanout-weight
+  // targets and joined ones their indicator constraints.
+  data::ImdbStarConfig ic;
+  ic.num_titles = 600;
+  const data::JoinUniverse uni = data::BuildImdbStar(ic);
+  Uae uae(uni, SmallConfig(23));
+  uae.TrainDataEpochs(1);
+  workload::JoinQueryGenerator gen(uni, workload::JoinGeneratorConfig{}, 53);
+  std::vector<workload::JoinQuery> subplans;
+  for (int i = 0; i < 6; ++i) {
+    const workload::JoinQuery q = gen.Generate();
+    for (uint32_t s = 1; s <= q.table_mask; ++s) {
+      if ((s & q.table_mask) == s) {
+        subplans.push_back(workload::RestrictToSubset(uni, q, s));
+      }
+    }
   }
-  std::vector<double> fp32 = d.uae.EstimateCards(qs);
-  int differing = 0;
-  for (size_t i = 0; i < qs.size(); ++i) {
-    if (batched[i] != fp32[i]) ++differing;
+  std::vector<double> reference;
+  for (const auto& q : subplans) reference.push_back(uae.EstimateJoinCard(q));
+
+  std::vector<double> batched = uae.EstimateJoinCards(subplans);
+  ASSERT_EQ(batched.size(), reference.size());
+  for (size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(batched[i], reference[i]) << "sub-plan " << i;
   }
-  EXPECT_GT(differing, 0) << "int8 estimates should not be bit-equal to fp32";
+
+  std::vector<size_t> perm(subplans.size());
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::mt19937_64 shuffle_rng(7);
+  std::shuffle(perm.begin(), perm.end(), shuffle_rng);
+  std::vector<workload::JoinQuery> shuffled;
+  for (size_t i : perm) shuffled.push_back(subplans[i]);
+  std::vector<double> shuffled_out = uae.EstimateJoinCards(shuffled);
+  for (size_t j = 0; j < perm.size(); ++j) {
+    EXPECT_EQ(shuffled_out[j], reference[perm[j]]) << "slot " << j;
+  }
+
+  std::vector<QueryTargets> targets;
+  std::vector<uint64_t> fingerprints;
+  int weighted = 0;
+  for (const auto& q : subplans) {
+    targets.push_back(BuildJoinTargets(q, uni, uae.schema()));
+    fingerprints.push_back(workload::JoinFingerprint(q));
+    for (const ColumnTarget& c : targets.back().cols) {
+      if (c.kind == ColumnTarget::Kind::kWeights) ++weighted;
+    }
+  }
+  EXPECT_GT(weighted, 0) << "no sub-plan carries a fanout-weight target";
+  for (int width : {1, 64}) {
+    std::vector<double> sels = WavefrontAtWidth(uae, targets, fingerprints, width);
+    for (size_t i = 0; i < sels.size(); ++i) {
+      EXPECT_EQ(sels[i] * static_cast<double>(uni.full_join_rows), reference[i])
+          << "width " << width << " sub-plan " << i;
+    }
+  }
 }
 
 }  // namespace
