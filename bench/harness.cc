@@ -98,7 +98,7 @@ PreparedWorkload PrepareWorkload(const workload::Workload& workload) {
 
 namespace {
 
-util::ErrorSummary SummarizePrepared(const estimators::CardinalityEstimator& est,
+util::ErrorSummary SummarizePrepared(const core::ServableModel& est,
                                      const PreparedWorkload& prep) {
   std::vector<double> cards = est.EstimateCards(prep.queries);
   UAE_CHECK_EQ(cards.size(), prep.true_cards.size());
@@ -113,7 +113,7 @@ util::ErrorSummary SummarizePrepared(const estimators::CardinalityEstimator& est
 }  // namespace
 
 ResultRow EvaluateEstimator(const std::string& name,
-                            const estimators::CardinalityEstimator& est,
+                            const core::ServableModel& est,
                             const PreparedWorkload& test_in,
                             const PreparedWorkload& test_random) {
   ResultRow row;
@@ -125,7 +125,7 @@ ResultRow EvaluateEstimator(const std::string& name,
 }
 
 ResultRow EvaluateEstimator(const std::string& name,
-                            const estimators::CardinalityEstimator& est,
+                            const core::ServableModel& est,
                             const workload::Workload& test_in,
                             const workload::Workload& test_random) {
   return EvaluateEstimator(name, est, PrepareWorkload(test_in),
@@ -191,8 +191,7 @@ std::vector<ResultRow> RunSingleTableComparison(const std::string& dataset,
                 std::max<int>(1, static_cast<int>(config.train_queries) /
                                      config.query_batch);
     uae_q.TrainQuerySteps(w.train, steps);
-    estimators::UaeAdapter adapter(&uae_q, "UAE-Q");
-    auto row = EvaluateEstimator("UAE-Q", adapter, prep_in, prep_random);
+    auto row = EvaluateEstimator("UAE-Q", uae_q, prep_in, prep_random);
     row.train_seconds = t.ElapsedSeconds();
     rows.push_back(row);
     std::printf("[done] UAE-Q (%.0fs)\n", t.ElapsedSeconds());
@@ -234,9 +233,9 @@ std::vector<ResultRow> RunSingleTableComparison(const std::string& dataset,
   }
   {
     util::Stopwatch t;
-    estimators::SpnConfig sc;
-    sc.seed = config.seed;
-    estimators::SpnEstimator spn(table, sc);
+    estimators::SpnServableConfig sc;
+    sc.spn.seed = config.seed;
+    estimators::SpnServable spn(table, sc);
     auto row = EvaluateEstimator("DeepDB", spn, prep_in, prep_random);
     row.train_seconds = t.ElapsedSeconds();
     rows.push_back(row);
@@ -247,8 +246,7 @@ std::vector<ResultRow> RunSingleTableComparison(const std::string& dataset,
     util::Stopwatch t;
     core::Uae naru(table, uc);
     naru.TrainDataEpochs(config.uae_epochs);
-    estimators::UaeAdapter adapter(&naru, "Naru");
-    auto row = EvaluateEstimator("Naru", adapter, prep_in, prep_random);
+    auto row = EvaluateEstimator("Naru", naru, prep_in, prep_random);
     row.train_seconds = t.ElapsedSeconds();
     rows.push_back(row);
     std::printf("[done] Naru (%.0fs)\n", t.ElapsedSeconds());
@@ -280,8 +278,7 @@ std::vector<ResultRow> RunSingleTableComparison(const std::string& dataset,
     util::Stopwatch t;
     core::Uae uae(table, uc);
     uae.TrainHybridEpochs(w.train, config.uae_epochs);
-    estimators::UaeAdapter adapter(&uae, "UAE");
-    auto row = EvaluateEstimator("UAE", adapter, prep_in, prep_random);
+    auto row = EvaluateEstimator("UAE", uae, prep_in, prep_random);
     row.train_seconds = t.ElapsedSeconds();
     rows.push_back(row);
     std::printf("[done] UAE (%.0fs)\n", t.ElapsedSeconds());

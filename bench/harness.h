@@ -11,18 +11,17 @@
 #include <string>
 #include <vector>
 
+#include "core/servable.h"
 #include "core/uae.h"
 #include "data/synthetic.h"
 #include "estimators/bayesnet.h"
-#include "estimators/estimator.h"
 #include "estimators/feedback_kde.h"
 #include "estimators/histogram.h"
 #include "estimators/kde.h"
 #include "estimators/lr.h"
 #include "estimators/mscn.h"
 #include "estimators/sampling.h"
-#include "estimators/spn.h"
-#include "estimators/uae_adapter.h"
+#include "estimators/spn_servable.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
 
@@ -84,18 +83,19 @@ struct PreparedWorkload {
 PreparedWorkload PrepareWorkload(const workload::Workload& workload);
 
 /// Evaluates an estimator on both prepared test workloads through the batched
-/// EstimateCards path so parallel implementations (UaeAdapter, the sharded
-/// estimator) fan work across the thread pool. Exactly one EstimateCards
-/// batch call per workload; results are identical to the legacy overload.
+/// EstimateCards path so models with a batched hot path (core::Uae's
+/// wavefront sampler, the SPN's parallel split) use it. Exactly one
+/// EstimateCards batch call per workload; results are identical to the
+/// legacy overload.
 ResultRow EvaluateEstimator(const std::string& name,
-                            const estimators::CardinalityEstimator& est,
+                            const core::ServableModel& est,
                             const PreparedWorkload& test_in,
                             const PreparedWorkload& test_random);
 
 /// Legacy convenience overload: prepares on the fly (setup re-done per call —
 /// prefer preparing once when evaluating several estimators).
 ResultRow EvaluateEstimator(const std::string& name,
-                            const estimators::CardinalityEstimator& est,
+                            const core::ServableModel& est,
                             const workload::Workload& test_in,
                             const workload::Workload& test_random);
 

@@ -5,6 +5,14 @@
 
 namespace uae::core {
 
+std::vector<double> ServableModel::EstimateCards(
+    std::span<const workload::Query> queries) const {
+  std::vector<double> cards;
+  cards.reserve(queries.size());
+  for (const workload::Query& q : queries) cards.push_back(EstimateCard(q));
+  return cards;
+}
+
 // Defaults for models without a join universe: reaching these is a caller
 // bug (the serving layer checks SupportsJoinQueries() before routing).
 double ServableModel::EstimateJoinCard(const workload::JoinQuery& query) const {

@@ -1,14 +1,17 @@
-// ServableModel — the contract between an estimation model and the layers
-// that deploy it (serve/ snapshots, online/ adaptation). A snapshot is any
-// immutable object that can answer cardinality queries; a candidate for
+// ServableModel — the one estimator interface: the contract between an
+// estimation model and everything that evaluates or deploys it (the §5 bench
+// tables, serve/ snapshots, online/ adaptation, the router). A snapshot is
+// any immutable object that can answer cardinality queries; a candidate for
 // hot-swap is any mutable clone that can fine-tune on labeled feedback.
 //
 // Implementations: the monolithic core::Uae (one autoregressive model over
 // one table, the paper's setting), estimators::SpnServable (the query-driven
 // SPN backend), shard::ShardedServable (one factory-built servable per
 // horizontal partition with pruned fan-out), router::HybridRouter (a
-// servable fronting a zoo of backends), and
-// estimators::ServableEstimatorAdapter (read-only lift of a zoo estimator).
+// servable fronting a zoo of backends), ingest::DeltaAwareModel (a model
+// plus its overflow tail), and the §5 baselines under estimators/. The
+// baselines train in their constructors or Train methods and are read-only
+// here: they keep the FineTune default (returns 0) and clone by copy.
 // The serving and adaptation layers are written against this interface so
 // any deployment hot-swaps and self-repairs the same way.
 #pragma once
@@ -53,8 +56,10 @@ class ServableModel {
   /// thread count, so served results are reproducible bitwise.
   virtual double EstimateCard(const workload::Query& query) const = 0;
   /// Batched estimation; element i is bit-identical to EstimateCard(queries[i]).
+  /// The default loops EstimateCard; models with a batched or parallel hot
+  /// path override it.
   virtual std::vector<double> EstimateCards(
-      std::span<const workload::Query> queries) const = 0;
+      std::span<const workload::Query> queries) const;
 
   // ---- Join estimation (optional capability) -------------------------------
   // A model constructed over a data::JoinUniverse can answer sub-plan
@@ -85,8 +90,8 @@ class ServableModel {
   /// Rows of the underlying table (feedback selectivities derive from this).
   virtual size_t num_rows() const = 0;
   /// The model's construction seed (adaptation controllers mix it into their
-  /// train/holdout split seeds).
-  virtual uint64_t seed() const = 0;
+  /// train/holdout split seeds); 0 for a model built without one.
+  virtual uint64_t seed() const { return 0; }
 
   /// Independent deep copy with bit-identical parameters; fine-tuning the
   /// clone leaves this model untouched (the hot-swap publish path).
@@ -99,9 +104,12 @@ class ServableModel {
   /// queries spanning shards are unattributable and dropped, so the return
   /// value can be less than workload.size(), down to 0 when nothing routed.
   /// Callers deciding whether to publish the result should treat 0 as "the
-  /// clone is still bit-identical to its source".
-  virtual size_t FineTune(const workload::Workload& workload,
-                          const FineTuneSpec& spec) = 0;
+  /// clone is still bit-identical to its source". The default is the
+  /// read-only contract: nothing is trained and 0 is returned.
+  virtual size_t FineTune(const workload::Workload& /*workload*/,
+                          const FineTuneSpec& /*spec*/) {
+    return 0;
+  }
 };
 
 }  // namespace uae::core

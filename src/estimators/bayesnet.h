@@ -7,21 +7,24 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 
 namespace uae::estimators {
 
-class BayesNetEstimator : public CardinalityEstimator {
+class BayesNetEstimator : public core::ServableModel {
  public:
   /// `mi_sample_rows` bounds the rows used for mutual-information estimation
   /// (the tree structure); CPTs use all rows. `alpha` is Laplace smoothing.
   BayesNetEstimator(const data::Table& table, size_t mi_sample_rows = 20000,
                     double alpha = 0.1, uint64_t seed = 13);
 
-  std::string name() const override { return "BayesNet"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
+  size_t num_rows() const override { return table_->num_rows(); }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<BayesNetEstimator>(*this);
+  }
 
   /// Parent of column c in the directed tree (-1 for the root). Exposed for
   /// structure-recovery tests.

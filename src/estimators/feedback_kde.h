@@ -13,7 +13,9 @@ class FeedbackKdeEstimator : public KdeEstimator {
   FeedbackKdeEstimator(const data::Table& table, size_t sample_size, uint64_t seed)
       : KdeEstimator(table, sample_size, seed) {}
 
-  std::string name() const override { return "Feedback-KDE"; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<FeedbackKdeEstimator>(*this);
+  }
 
   /// Gradient descent on log-bandwidths against (sel_hat - sel)^2, batched
   /// over the workload. Returns the final mean squared error.

@@ -5,8 +5,8 @@
 
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 
 namespace uae::estimators {
 
@@ -34,13 +34,16 @@ class ColumnHistogram {
   int32_t domain_ = 0;
 };
 
-class HistogramAviEstimator : public CardinalityEstimator {
+class HistogramAviEstimator : public core::ServableModel {
  public:
   HistogramAviEstimator(const data::Table& table, int buckets_per_column);
 
-  std::string name() const override { return "Histogram-AVI"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
+  size_t num_rows() const override { return table_rows_; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<HistogramAviEstimator>(*this);
+  }
 
   const ColumnHistogram& histogram(int col) const {
     return hists_[static_cast<size_t>(col)];

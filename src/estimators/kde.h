@@ -6,19 +6,22 @@
 
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "util/rng.h"
 
 namespace uae::estimators {
 
-class KdeEstimator : public CardinalityEstimator {
+class KdeEstimator : public core::ServableModel {
  public:
   KdeEstimator(const data::Table& table, size_t sample_size, uint64_t seed);
 
-  std::string name() const override { return "KDE"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
+  size_t num_rows() const override { return table_rows_; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<KdeEstimator>(*this);
+  }
 
   /// Per-dimension bandwidths (Feedback-KDE tunes these).
   std::vector<double>& bandwidths() { return bandwidths_; }

@@ -6,22 +6,25 @@
 
 #include <vector>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "workload/query.h"
 
 namespace uae::estimators {
 
-class LrEstimator : public CardinalityEstimator {
+class LrEstimator : public core::ServableModel {
  public:
   LrEstimator(const data::Table& table, double ridge = 1e-3);
 
   /// Fits on a labeled workload (query-driven: never sees the data).
   void Train(const workload::Workload& workload);
 
-  std::string name() const override { return "LR"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override { return weights_.size() * sizeof(double); }
+  size_t num_rows() const override { return table_rows_; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<LrEstimator>(*this);
+  }
 
   /// Feature vector: per column [lo_frac, hi_frac] + intercept.
   std::vector<double> Featurize(const workload::Query& query) const;

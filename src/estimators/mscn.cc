@@ -203,7 +203,7 @@ MscnSamplingEstimator::MscnSamplingEstimator(const data::Table& table,
   }
   sample_ = data::Table(table.name() + "_mscn_sample", std::move(cols));
   config.extra_dim = 2;
-  mscn_ = std::make_unique<MscnEstimator>(table, config);
+  mscn_ = std::make_shared<MscnEstimator>(table, config);
 }
 
 std::vector<float> MscnSamplingEstimator::SampleFeatures(

@@ -11,8 +11,8 @@
 
 #include <memory>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "util/rng.h"
@@ -29,7 +29,7 @@ struct MscnConfig {
   uint64_t seed = 21;
 };
 
-class MscnEstimator : public CardinalityEstimator {
+class MscnEstimator : public core::ServableModel {
  public:
   MscnEstimator(const data::Table& table, const MscnConfig& config);
 
@@ -38,12 +38,17 @@ class MscnEstimator : public CardinalityEstimator {
   void Train(const workload::Workload& workload,
              const std::vector<std::vector<float>>* extras = nullptr);
 
-  std::string name() const override { return "MSCN-base"; }
   double EstimateCard(const workload::Query& query) const override;
   /// Estimation with extra features (must match config.extra_dim).
   double EstimateCardExtra(const workload::Query& query,
                            const std::vector<float>& extra) const;
   size_t SizeBytes() const override;
+  size_t num_rows() const override { return table_rows_; }
+  /// The copy shares the parameter tensors: Train() on either retrains both.
+  /// FineTune keeps the read-only default, so no served clone retrains.
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<MscnEstimator>(*this);
+  }
 
   /// Named trainable parameters (both MLPs), for nn/serialize checkpoints.
   std::vector<nn::NamedParam> Parameters() const;
@@ -70,22 +75,26 @@ class MscnEstimator : public CardinalityEstimator {
 
 /// MSCN+sampling: MSCN with a materialized uniform sample whose per-query hit
 /// fraction (the collapsed bitmap) is fed as extra features.
-class MscnSamplingEstimator : public CardinalityEstimator {
+class MscnSamplingEstimator : public core::ServableModel {
  public:
   MscnSamplingEstimator(const data::Table& table, size_t sample_rows,
                         MscnConfig config);
 
   void Train(const workload::Workload& workload);
 
-  std::string name() const override { return "MSCN+sampling"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
+  size_t num_rows() const override { return mscn_->num_rows(); }
+  /// The copy shares the MSCN: Train() on either retrains both.
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<MscnSamplingEstimator>(*this);
+  }
 
  private:
   std::vector<float> SampleFeatures(const workload::Query& query) const;
 
   data::Table sample_;
-  std::unique_ptr<MscnEstimator> mscn_;
+  std::shared_ptr<MscnEstimator> mscn_;
 };
 
 }  // namespace uae::estimators

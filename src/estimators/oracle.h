@@ -3,18 +3,21 @@
 // reference in tests.
 #pragma once
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 
 namespace uae::estimators {
 
-class OracleEstimator : public CardinalityEstimator {
+class OracleEstimator : public core::ServableModel {
  public:
   explicit OracleEstimator(const data::Table& table) : table_(table) {}
 
-  std::string name() const override { return "TrueCard"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override { return 0; }
+  size_t num_rows() const override { return table_.num_rows(); }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<OracleEstimator>(*this);
+  }
 
  private:
   const data::Table& table_;

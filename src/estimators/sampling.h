@@ -4,19 +4,22 @@
 
 #include <memory>
 
+#include "core/servable.h"
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "util/rng.h"
 
 namespace uae::estimators {
 
-class SamplingEstimator : public CardinalityEstimator {
+class SamplingEstimator : public core::ServableModel {
  public:
   SamplingEstimator(const data::Table& table, double fraction, uint64_t seed);
 
-  std::string name() const override { return "Sampling"; }
   double EstimateCard(const workload::Query& query) const override;
   size_t SizeBytes() const override;
+  size_t num_rows() const override { return table_rows_; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<SamplingEstimator>(*this);
+  }
 
   size_t sample_rows() const { return sample_.num_rows(); }
   const data::Table& sample() const { return sample_; }

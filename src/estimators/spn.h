@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "data/table.h"
-#include "estimators/estimator.h"
 #include "util/rng.h"
 #include "workload/query.h"
 
@@ -56,13 +55,12 @@ struct SpnFineTuneConfig {
   double min_selectivity = 1e-12;
 };
 
-class SpnEstimator : public CardinalityEstimator {
+class SpnEstimator {
  public:
   SpnEstimator(const data::Table& table, const SpnConfig& config);
 
-  std::string name() const override { return "DeepDB-SPN"; }
-  double EstimateCard(const workload::Query& query) const override;
-  size_t SizeBytes() const override { return size_bytes_; }
+  double EstimateCard(const workload::Query& query) const;
+  size_t SizeBytes() const { return size_bytes_; }
 
   /// Root selectivity in [0, 1]; EstimateCard is this times the table's
   /// *live* row count. Servable wrappers that must stay pure under

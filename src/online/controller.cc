@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "util/quantiles.h"
@@ -42,14 +43,19 @@ GuardVerdict EvaluateCandidate(const core::ServableModel& incumbent,
       holdout, [&](std::span<const workload::Query> qs) {
         return incumbent.EstimateCards(qs);
       });
+  bool all_finite = true;
   std::vector<double> candidate_errors = workload::EvaluateQErrorsBatched(
       holdout, [&](std::span<const workload::Query> qs) {
-        return candidate.EstimateCards(qs);
+        std::vector<double> cards = candidate.EstimateCards(qs);
+        all_finite = std::all_of(cards.begin(), cards.end(),
+                                 [](double c) { return std::isfinite(c); });
+        return cards;
       });
   verdict.incumbent_median = util::Quantile(std::move(incumbent_errors), 0.5);
   verdict.candidate_median = util::Quantile(std::move(candidate_errors), 0.5);
-  verdict.accept =
-      verdict.candidate_median <= verdict.incumbent_median * guard_max_ratio;
+  // A NaN or inf answer refuses the candidate even when its median holds.
+  verdict.accept = all_finite && verdict.candidate_median <=
+                                     verdict.incumbent_median * guard_max_ratio;
   return verdict;
 }
 

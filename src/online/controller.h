@@ -108,7 +108,8 @@ struct AdaptationStats {
 };
 
 /// The regression guard, standalone and testable: batched-evaluates both
-/// models on the held-out slice and accepts the candidate iff
+/// models on the held-out slice and accepts the candidate iff every one of
+/// its estimates is finite and
 ///   candidate_median <= incumbent_median * guard_max_ratio.
 /// An empty holdout rejects (nothing proven means no swap).
 struct GuardVerdict {

@@ -73,14 +73,14 @@ void HybridRouter::ClassState::AddQerr(Backend backend, double q) {
 
 HybridRouter::HybridRouter(
     std::shared_ptr<core::ServableModel> primary,
-    std::shared_ptr<const estimators::CardinalityEstimator> floor,
+    std::shared_ptr<const core::ServableModel> floor,
     std::vector<int32_t> domains, const RouterConfig& config)
     : HybridRouter(std::move(primary), std::move(floor), std::move(domains),
                    config, RoutingTable{}) {}
 
 HybridRouter::HybridRouter(
     std::shared_ptr<core::ServableModel> primary,
-    std::shared_ptr<const estimators::CardinalityEstimator> floor,
+    std::shared_ptr<const core::ServableModel> floor,
     std::vector<int32_t> domains, const RouterConfig& config,
     RoutingTable table)
     : primary_(std::move(primary)),

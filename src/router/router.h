@@ -11,7 +11,7 @@
 //     ServableModel (SetAltBackend; the query-driven SPN backend). A class
 //     on both serves from the kNN and never pays a model inference.
 //   * floor   — a bounded-latency classical estimator (histogram/sampling;
-//     any estimators::CardinalityEstimator). Engages per request when the
+//     any read-only ServableModel). Engages per request when the
 //     load probe reports an SLO breach: under overload the router degrades
 //     to cheap-but-bounded answers instead of stalling the queue.
 //
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "core/servable.h"
-#include "estimators/estimator.h"
 #include "online/feedback.h"
 #include "router/knn.h"
 #include "router/query_class.h"
@@ -110,7 +109,7 @@ class HybridRouter : public core::ServableModel {
   /// is the bounded-latency degradation backend; `domains[c]` is column c's
   /// dictionary size (feature normalization — see router/query_class.h).
   HybridRouter(std::shared_ptr<core::ServableModel> primary,
-               std::shared_ptr<const estimators::CardinalityEstimator> floor,
+               std::shared_ptr<const core::ServableModel> floor,
                std::vector<int32_t> domains, const RouterConfig& config = {});
 
   // ---- core::ServableModel --------------------------------------------------
@@ -208,7 +207,7 @@ class HybridRouter : public core::ServableModel {
 
   /// Clone constructor: starts from `table` as generation 1.
   HybridRouter(std::shared_ptr<core::ServableModel> primary,
-               std::shared_ptr<const estimators::CardinalityEstimator> floor,
+               std::shared_ptr<const core::ServableModel> floor,
                std::vector<int32_t> domains, const RouterConfig& config,
                RoutingTable table);
 
@@ -232,7 +231,7 @@ class HybridRouter : public core::ServableModel {
   void RecordServed(Backend backend, uint64_t micros) const;
 
   const std::shared_ptr<core::ServableModel> primary_;
-  const std::shared_ptr<const estimators::CardinalityEstimator> floor_;
+  const std::shared_ptr<const core::ServableModel> floor_;
   /// Optional second model backend; immutable once serving starts (wired via
   /// SetAltBackend like the probe).
   std::shared_ptr<const core::ServableModel> alt_;

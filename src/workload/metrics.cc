@@ -17,16 +17,6 @@ double QError(double est_card, double true_card) {
   return std::isnan(q) ? std::numeric_limits<double>::infinity() : q;
 }
 
-std::vector<double> EvaluateQErrors(
-    const Workload& workload, const std::function<double(const Query&)>& estimate) {
-  std::vector<double> errors;
-  errors.reserve(workload.size());
-  for (const auto& lq : workload) {
-    errors.push_back(QError(estimate(lq.query), lq.card));
-  }
-  return errors;
-}
-
 std::vector<double> EvaluateQErrorsBatched(const Workload& workload,
                                            const BatchEstimateFn& estimate_batch) {
   std::vector<Query> queries;

@@ -17,14 +17,10 @@ namespace uae::workload {
 /// argument is NaN. The one q-error formula of the repo.
 double QError(double est_card, double true_card);
 
-/// Evaluates an estimate function (query -> estimated cardinality) over a
-/// labeled workload and returns per-query q-errors.
-std::vector<double> EvaluateQErrors(
-    const Workload& workload, const std::function<double(const Query&)>& estimate);
-
-/// Batched variant: hands the whole query list to `estimate_batch` at once so
-/// batch-parallel estimators (estimators::CardinalityEstimator::EstimateCards)
-/// go through their fan-out hot path. Q-errors are returned in workload order.
+/// Evaluates a batch estimate function over a labeled workload: hands the
+/// whole query list to `estimate_batch` at once, so a model's batched hot
+/// path (core::ServableModel::EstimateCards) does the work. Q-errors are
+/// returned in workload order.
 using BatchEstimateFn =
     std::function<std::vector<double>(std::span<const Query>)>;
 std::vector<double> EvaluateQErrorsBatched(const Workload& workload,

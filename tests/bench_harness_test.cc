@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "bench/harness.h"
@@ -63,10 +64,9 @@ TEST(BenchDatasetTest, DispatchesByName) {
 /// Counts the per-workload evaluation work an estimator row triggers — the
 /// regression the PreparedWorkload hoist fixes: setup must happen once per
 /// workload, not once per (estimator row x workload).
-class CountingEstimator : public estimators::CardinalityEstimator {
+class CountingEstimator : public core::ServableModel {
  public:
   explicit CountingEstimator(double card) : card_(card) {}
-  std::string name() const override { return "counting"; }
   double EstimateCard(const workload::Query&) const override {
     single_calls.fetch_add(1);
     return card_;
@@ -78,6 +78,10 @@ class CountingEstimator : public estimators::CardinalityEstimator {
     return std::vector<double>(queries.size(), card_);
   }
   size_t SizeBytes() const override { return 0; }
+  size_t num_rows() const override { return 0; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<CountingEstimator>(card_);
+  }
 
   mutable std::atomic<int> single_calls{0};
   mutable std::atomic<int> batch_calls{0};

@@ -24,7 +24,7 @@ workload::Workload TestQueries(const data::Table& t, int count, uint64_t seed) {
   return gen.GenerateLabeled(static_cast<size_t>(count), nullptr);
 }
 
-double MedianError(const CardinalityEstimator& est, const workload::Workload& w) {
+double MedianError(const core::ServableModel& est, const workload::Workload& w) {
   std::vector<double> errors;
   for (const auto& lq : w) {
     errors.push_back(workload::QError(est.EstimateCard(lq.query), lq.card));

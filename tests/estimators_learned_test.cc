@@ -88,7 +88,7 @@ TEST(MscnTest, SamplingFeaturesImproveAccuracy) {
   base.Train(train);
   MscnSamplingEstimator with_sample(t, 1000, mc);
   with_sample.Train(train);
-  auto mean_err = [&](const CardinalityEstimator& e) {
+  auto mean_err = [&](const core::ServableModel& e) {
     double total = 0;
     for (const auto& lq : test) {
       total += workload::QError(e.EstimateCard(lq.query), lq.card);

@@ -6,8 +6,10 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/uae.h"
@@ -90,6 +92,42 @@ TEST(RegressionGuardTest, AcceptsEqualCandidateAndClones) {
   GuardVerdict cloned = EvaluateCandidate(*f.trained, *clone, holdout, 1.0);
   EXPECT_TRUE(cloned.accept);
   EXPECT_DOUBLE_EQ(cloned.candidate_median, cloned.incumbent_median);
+}
+
+/// Answers like `inner` except NaN on the query with fingerprint `poisoned`.
+class PoisonedServable : public core::ServableModel {
+ public:
+  PoisonedServable(std::shared_ptr<const core::ServableModel> inner,
+                   uint64_t poisoned)
+      : inner_(std::move(inner)), poisoned_(poisoned) {}
+  double EstimateCard(const workload::Query& query) const override {
+    if (query.Fingerprint() == poisoned_) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return inner_->EstimateCard(query);
+  }
+  size_t SizeBytes() const override { return inner_->SizeBytes(); }
+  size_t num_rows() const override { return inner_->num_rows(); }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<PoisonedServable>(*this);
+  }
+
+ private:
+  std::shared_ptr<const core::ServableModel> inner_;
+  uint64_t poisoned_;
+};
+
+TEST(RegressionGuardTest, RefusesCandidateWithNonFiniteEstimates) {
+  Fixture& f = Shared();
+  // Labelled with the incumbent's own estimates, so both medians are 1.0:
+  // one NaN answer out of 16 does not move the candidate's median.
+  workload::Workload holdout = LabeledQueries(f.table, 16, 9);
+  for (auto& lq : holdout) lq.card = f.trained->EstimateCard(lq.query);
+  PoisonedServable candidate(f.trained, holdout[3].query.Fingerprint());
+  GuardVerdict verdict = EvaluateCandidate(*f.trained, candidate, holdout, 1.0);
+  EXPECT_DOUBLE_EQ(verdict.incumbent_median, 1.0);
+  EXPECT_DOUBLE_EQ(verdict.candidate_median, 1.0);
+  EXPECT_FALSE(verdict.accept);
 }
 
 TEST(RegressionGuardTest, EmptyHoldoutRejects) {

@@ -1,6 +1,5 @@
 // router/: HybridRouter routing + degradation + stats, per-class kNN, query
-// classification, the serve/ latency histogram, and the classical-estimator
-// servable adapter.
+// classification, and the serve/ latency histogram.
 //
 // Coverage demanded by the degradation design: cold start routes everything
 // to the primary bitwise; hot classes promote onto the kNN fast path and
@@ -22,7 +21,6 @@
 #include "data/synthetic.h"
 #include "estimators/histogram.h"
 #include "estimators/oracle.h"
-#include "estimators/servable_adapter.h"
 #include "online/feedback.h"
 #include "router/knn.h"
 #include "router/query_class.h"
@@ -36,7 +34,7 @@ namespace {
 struct Fixture {
   data::Table table;
   std::vector<int32_t> domains;
-  std::shared_ptr<const estimators::OracleEstimator> oracle;
+  std::shared_ptr<estimators::OracleEstimator> oracle;
   std::shared_ptr<const estimators::HistogramAviEstimator> histogram;
   std::shared_ptr<core::ServableModel> primary;
   std::vector<workload::LabeledQuery> labeled;
@@ -47,8 +45,7 @@ struct Fixture {
     }
     oracle = std::make_shared<estimators::OracleEstimator>(table);
     histogram = std::make_shared<estimators::HistogramAviEstimator>(table, 8);
-    primary = std::make_shared<estimators::ServableEstimatorAdapter>(
-        oracle, table.num_rows(), /*seed=*/3);
+    primary = oracle;
     workload::GeneratorConfig gc;
     gc.min_filters = 1;
     gc.max_filters = 3;
@@ -198,28 +195,6 @@ TEST(LatencyHistogramTest, SnapshotQuantilesTrackTheSample) {
   EXPECT_GT(snap.mean_us, 0.0);
 }
 
-// ---- Servable adapter ------------------------------------------------------
-
-TEST(ServableAdapterTest, DelegatesClonesAndRefusesToFineTune) {
-  Fixture& f = Shared();
-  estimators::ServableEstimatorAdapter adapter(f.histogram,
-                                               f.table.num_rows(), 7);
-  EXPECT_EQ(adapter.num_rows(), f.table.num_rows());
-  EXPECT_EQ(adapter.seed(), 7u);
-  EXPECT_EQ(adapter.SizeBytes(), f.histogram->SizeBytes());
-  std::vector<workload::Query> queries;
-  for (const auto& lq : f.labeled) queries.push_back(lq.query);
-  const std::vector<double> batched = adapter.EstimateCards(queries);
-  auto clone = adapter.CloneServable();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const double direct = f.histogram->EstimateCard(queries[i]);
-    EXPECT_EQ(adapter.EstimateCard(queries[i]), direct);
-    EXPECT_EQ(batched[i], direct);
-    EXPECT_EQ(clone->EstimateCard(queries[i]), direct);
-  }
-  EXPECT_EQ(clone->FineTune(workload::Workload{}, core::FineTuneSpec{}), 0u);
-}
-
 // ---- HybridRouter ----------------------------------------------------------
 
 TEST(RouterTest, ColdStartRoutesEverythingToPrimaryBitwise) {
@@ -290,20 +265,10 @@ class NanServable : public core::ServableModel {
   double EstimateCard(const workload::Query&) const override {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  std::vector<double> EstimateCards(
-      std::span<const workload::Query> queries) const override {
-    return std::vector<double>(queries.size(),
-                               std::numeric_limits<double>::quiet_NaN());
-  }
   size_t SizeBytes() const override { return 0; }
   size_t num_rows() const override { return rows_; }
-  uint64_t seed() const override { return 0; }
   std::shared_ptr<core::ServableModel> CloneServable() const override {
     return std::make_shared<NanServable>(rows_);
-  }
-  size_t FineTune(const workload::Workload&,
-                  const core::FineTuneSpec&) override {
-    return 0;
   }
 
  private:
@@ -359,9 +324,7 @@ TEST(RouterTest, KnnOutranksAltWhenBothQualify) {
   constexpr int kRounds = 4;
   const auto route_after_feedback = [&](const RouterConfig& config) {
     auto router = f.MakeRouter(config);
-    router->SetAltBackend(
-        std::make_shared<estimators::ServableEstimatorAdapter>(
-            f.oracle, f.table.num_rows(), /*seed=*/5));
+    router->SetAltBackend(f.oracle);
     for (int round = 0; round < kRounds; ++round) {
       EXPECT_EQ(router->ObserveFeedback(batch), batch.size());
     }

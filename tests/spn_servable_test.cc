@@ -1,6 +1,6 @@
 // SPN backend: the three spn.cc bugfix regressions (overflow-dictionary
 // leaf sizing, deterministic product-split child order, col_weights length
-// validation) plus the ServableModel conformance suite for
+// validation) plus the SPN's own serving checks for
 // estimators::SpnServable — clone bitwise-independence, fine-tune
 // determinism across thread counts, the adaptation guard refusing a worse
 // fine-tuned SPN, the router promoting the SPN for a query class where its
@@ -19,7 +19,6 @@
 #include "data/synthetic.h"
 #include "data/table.h"
 #include "estimators/histogram.h"
-#include "estimators/servable_adapter.h"
 #include "estimators/spn.h"
 #include "estimators/spn_servable.h"
 #include "online/controller.h"
@@ -336,8 +335,7 @@ TEST(SpnServableTest, RouterPromotesSpnWhereItsShadowQErrorWins) {
   // on the correlated conjunctions below. Alt: the fine-grained SPN.
   auto histogram =
       std::make_shared<estimators::HistogramAviEstimator>(s.table, 8);
-  auto primary = std::make_shared<estimators::ServableEstimatorAdapter>(
-      histogram, s.table.num_rows(), /*seed=*/3);
+  std::shared_ptr<core::ServableModel> primary = histogram;
   auto spn = std::make_shared<SpnServable>(s.table, s.AccurateConfig());
 
   router::RouterConfig rc;

@@ -33,7 +33,14 @@ TEST(MetricsTest, EvaluateQErrors) {
   w[0].card = 10;
   w[1].card = 100;
   w[2].card = 1;
-  auto errors = EvaluateQErrors(w, [](const Query&) { return 10.0; });
+  size_t batch_calls = 0;
+  auto errors = EvaluateQErrorsBatched(w, [&](std::span<const Query> qs) {
+    ++batch_calls;
+    EXPECT_EQ(qs.size(), w.size());
+    return std::vector<double>(qs.size(), 10.0);
+  });
+  EXPECT_EQ(batch_calls, 1u);
+  ASSERT_EQ(errors.size(), 3u);
   EXPECT_DOUBLE_EQ(errors[0], 1.0);
   EXPECT_DOUBLE_EQ(errors[1], 10.0);
   EXPECT_DOUBLE_EQ(errors[2], 10.0);
