@@ -316,15 +316,7 @@ int Run(int argc, char** argv) {
   w.EndArray();
   w.EndObject();
 
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(out_path.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
+  if (!bench::WriteBenchJson(out_path, w.Finish())) return 1;
   std::printf("wrote %s\n", out_path.c_str());
 
   // Non-zero exit when the feedback loop made plans worse: the bench doubles

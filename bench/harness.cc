@@ -132,6 +132,18 @@ ResultRow EvaluateEstimator(const std::string& name,
                            PrepareWorkload(test_random));
 }
 
+bool WriteBenchJson(const std::string& path, const std::string& doc) {
+  std::FILE* fp = std::fopen(path.c_str(), "w");
+  if (fp == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(doc.data(), 1, doc.size(), fp);
+  std::fputc('\n', fp);
+  std::fclose(fp);
+  return true;
+}
+
 void PrintResultTable(const std::string& title, const std::vector<ResultRow>& rows) {
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("%-16s %8s | %41s | %41s\n", "Model", "Size", "In-workload Queries",

@@ -99,6 +99,10 @@ ResultRow EvaluateEstimator(const std::string& name,
                             const workload::Workload& test_in,
                             const workload::Workload& test_random);
 
+/// Writes a BENCH_*.json document and a trailing newline to `path`. On
+/// failure prints "cannot write <path>" to stderr and returns false.
+bool WriteBenchJson(const std::string& path, const std::string& doc);
+
 /// Prints the Table 2/3/4-shaped header + rows.
 void PrintResultTable(const std::string& title, const std::vector<ResultRow>& rows);
 

@@ -112,7 +112,7 @@ int Run(int argc, char** argv) {
               train_timer.ElapsedSeconds());
 
   serve::EstimationService service(model);
-  online::FeedbackCollector collector({.capacity = 4096, .seed = opt.seed});
+  online::FeedbackCollector collector({.capacity = 4096});
   online::DriftMonitor monitor({.window = 512,
                                 .min_samples = 48,
                                 .median_threshold = 2.0});
@@ -210,15 +210,7 @@ int Run(int argc, char** argv) {
   w.EndArray();
   w.EndObject();
 
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
+  if (!WriteBenchJson(opt.out, w.Finish())) return 1;
   std::printf("wrote %s\n", opt.out.c_str());
 
   // Non-zero exit when the loop failed to publish or to improve: the bench

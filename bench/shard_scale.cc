@@ -209,15 +209,7 @@ int Run(int argc, char** argv) {
   w.EndArray();
   w.EndObject();
 
-  const std::string& doc = w.Finish();
-  std::FILE* fp = std::fopen(opt.out.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), fp);
-  std::fputc('\n', fp);
-  std::fclose(fp);
+  if (!WriteBenchJson(opt.out, w.Finish())) return 1;
   std::printf("wrote %s (%zu benchmarks)\n", opt.out.c_str(), results.size());
 
   // Smoke assertion: pruning must help on a partition-targeted workload —

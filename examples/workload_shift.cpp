@@ -1,8 +1,7 @@
-// Incremental query workload (§4.5), production-shaped: instead of hand-
-// calling IngestWorkload after each shift (the old version of this example),
-// the model is served behind EstimationService while the online adaptation
-// loop — FeedbackCollector -> DriftMonitor -> AdaptationController — notices
-// each workload shift from query feedback alone, fine-tunes a clone in the
+// Incremental query workload (§4.5), production-shaped: the model is served
+// behind EstimationService while the online adaptation loop —
+// FeedbackCollector -> DriftMonitor -> AdaptationController — notices each
+// workload shift from query feedback alone, fine-tunes a clone in the
 // background, and hot-swaps it. A data-only Naru baseline goes stale.
 #include <cstdio>
 #include <memory>

@@ -358,12 +358,6 @@ void Uae::IngestDataRows(const data::Table& delta, int epochs) {
   }
 }
 
-void Uae::IngestWorkload(const workload::Workload& workload, int epochs) {
-  int steps_per_epoch = std::max<int>(
-      1, static_cast<int>(workload.size()) / std::max(1, config_.query_batch));
-  TrainQuerySteps(workload, epochs * steps_per_epoch);
-}
-
 util::Rng Uae::EstimationRng(uint64_t fingerprint) const {
   return util::Rng(util::SplitMix64(config_.seed ^ util::SplitMix64(fingerprint)));
 }

@@ -94,9 +94,6 @@ class Uae : public ServableModel {
   /// ServableModel: appends new tuples and runs unsupervised epochs on the
   /// new data only.
   void IngestDataRows(const data::Table& delta, int epochs) override;
-  /// Adapts to a shifted workload with a few supervised epochs (10-20 small
-  /// epochs suffice to avoid catastrophic forgetting, per §4.5).
-  void IngestWorkload(const workload::Workload& workload, int epochs);
 
   // ---- Estimation -----------------------------------------------------------
   // Estimates draw progressive samples from an RNG seeded per query from

@@ -163,6 +163,10 @@ void MscnEstimator::Train(const workload::Workload& workload,
 
 double MscnEstimator::EstimateCardExtra(const workload::Query& query,
                                         const std::vector<float>& extra) const {
+  // No constraint selects every row. The network never sees an empty
+  // predicate set in training and caps its answer at the largest training
+  // selectivity, so it would answer such a query with a handful of rows.
+  if (query.NumConstrained() == 0) return static_cast<double>(table_rows_);
   nn::NoGradGuard no_grad;
   QueryFeatures qf = Featurize(query);
   std::vector<const std::vector<float>*> extras = {&extra};

@@ -39,7 +39,8 @@ class MscnEstimator : public core::ServableModel {
              const std::vector<std::vector<float>>* extras = nullptr);
 
   double EstimateCard(const workload::Query& query) const override;
-  /// Estimation with extra features (must match config.extra_dim).
+  /// Estimation with extra features (must match config.extra_dim). A query
+  /// with no active constraint answers the table's row count.
   double EstimateCardExtra(const workload::Query& query,
                            const std::vector<float>& extra) const;
   size_t SizeBytes() const override;

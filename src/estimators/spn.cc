@@ -407,23 +407,25 @@ void SpnEstimator::ApplyUpdate(Node* node, const workload::Query& query,
 }
 
 size_t SpnEstimator::FineTuneOnQueries(const workload::Workload& workload,
-                                       int steps,
-                                       const SpnFineTuneConfig& config) {
-  if (workload.empty() || steps <= 0 || config.learning_rate <= 0.0) return 0;
+                                       int steps, double learning_rate) {
+  // Clamp of the per-query truth/estimate ratio, and the estimate below
+  // which a query is skipped (dividing by a denormal is meaningless).
+  constexpr double kMaxUpdateRatio = 8.0;
+  constexpr double kMinSelectivity = 1e-12;
+  if (workload.empty() || steps <= 0 || learning_rate <= 0.0) return 0;
   double rows = std::max<double>(1.0, static_cast<double>(table_->num_rows()));
   std::vector<uint8_t> applied(workload.size(), 0);
   for (int step = 0; step < steps; ++step) {
     size_t idx = static_cast<size_t>(step) % workload.size();
     const workload::LabeledQuery& lq = workload[idx];
     double sel = EvalStore(root_.get(), lq.query);
-    if (!(sel > config.min_selectivity)) continue;
+    if (!(sel > kMinSelectivity)) continue;
     // True selectivity, floored at half a row so zero-card labels pull the
     // estimate down without a log(0).
     double truth = std::max(static_cast<double>(lq.card), 0.5) / rows;
     double ratio = truth / sel;
-    ratio = std::min(std::max(ratio, 1.0 / config.max_update_ratio),
-                     config.max_update_ratio);
-    double lr_log_ratio = config.learning_rate * std::log(ratio);
+    ratio = std::min(std::max(ratio, 1.0 / kMaxUpdateRatio), kMaxUpdateRatio);
+    double lr_log_ratio = learning_rate * std::log(ratio);
     if (lr_log_ratio != 0.0) {
       ApplyUpdate(root_.get(), lq.query, 1.0, lr_log_ratio, sel);
     }

@@ -10,7 +10,9 @@
 // Beyond the data-only DeepDB construction, the SPN supports query-driven
 // fine-tuning (arXiv 2505.08318's unified data+query view): labeled query
 // feedback multiplicatively reweights sum-node mixtures and leaf histogram
-// bins toward observed selectivities. See FineTuneOnQueries.
+// bins toward observed selectivities. The step size is the update's one
+// setting; its ratio clamp and selectivity floor are fixed. See
+// FineTuneOnQueries.
 #pragma once
 
 #include <memory>
@@ -37,24 +39,6 @@ struct SpnConfig {
   uint64_t seed = 31;
 };
 
-/// Knobs for the query-driven multiplicative/EM update (arXiv 2505.08318
-/// style: nudge the SPN's parameters so its selectivity for each labeled
-/// query moves toward the observed truth, without re-reading the table).
-struct SpnFineTuneConfig {
-  /// Step size of the multiplicative update. 0 disables learning. Kept
-  /// deliberately small: larger rates overshoot and oscillate when the same
-  /// feedback queries are cycled for many steps.
-  double learning_rate = 0.1;
-  /// The per-query truth/estimate ratio is clamped into
-  /// [1/max_update_ratio, max_update_ratio] before taking its log, so a
-  /// single wildly mislabeled query cannot blow up the parameters.
-  double max_update_ratio = 8.0;
-  /// Queries whose current estimate falls below this are skipped: a
-  /// multiplicative update cannot create mass in zero bins, and dividing by
-  /// a denormal estimate is numerically meaningless.
-  double min_selectivity = 1e-12;
-};
-
 class SpnEstimator {
  public:
   SpnEstimator(const data::Table& table, const SpnConfig& config);
@@ -79,17 +63,23 @@ class SpnEstimator {
   /// parameters, independent storage) and references the same table.
   std::unique_ptr<SpnEstimator> Clone() const;
 
-  /// Query-driven fine-tune: runs `steps` multiplicative updates, cycling
-  /// deterministically through `workload` in order. Each step moves the
-  /// SPN's selectivity for one labeled query toward the observed truth by
-  /// backpropagating a per-node responsibility share and reweighting sum
-  /// mixtures / leaf bins multiplicatively (then renormalizing). Purely
-  /// sequential and deterministic: same (model, workload, steps, config) ->
-  /// bitwise-identical parameters, regardless of caller thread count.
-  /// Returns the number of distinct workload queries that produced an
-  /// update (0 means the model is unchanged).
+  /// Query-driven fine-tune (arXiv 2505.08318 style: nudge the parameters so
+  /// the selectivity of each labeled query moves toward the observed truth,
+  /// without re-reading the table): runs `steps` multiplicative updates,
+  /// cycling deterministically through `workload` in order. Each step
+  /// backpropagates a per-node responsibility share and reweights sum
+  /// mixtures / leaf bins multiplicatively (then renormalizes).
+  /// `learning_rate` is the step size; 0 disables learning. The
+  /// truth/estimate ratio is clamped into [1/8, 8] before its log, so one
+  /// wildly mislabelled query cannot blow up the parameters, and a query
+  /// whose estimate is at most 1e-12 is skipped (a multiplicative update
+  /// cannot create mass in zero bins). Purely sequential and deterministic:
+  /// same (model, workload, steps, learning_rate) -> bitwise-identical
+  /// parameters, regardless of caller thread count. Returns the number of
+  /// distinct workload queries that produced an update (0 means the model
+  /// is unchanged).
   size_t FineTuneOnQueries(const workload::Workload& workload, int steps,
-                           const SpnFineTuneConfig& config);
+                           double learning_rate);
 
   /// Structural statistics, exposed for tests.
   int num_sum_nodes() const { return n_sum_; }

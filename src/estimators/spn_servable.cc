@@ -49,9 +49,12 @@ std::shared_ptr<core::ServableModel> SpnServable::CloneServable() const {
 
 size_t SpnServable::FineTune(const workload::Workload& workload,
                              const core::FineTuneSpec& spec) {
-  SpnFineTuneConfig ft = config_.finetune;
-  if (spec.learning_rate > 0.0) ft.learning_rate = spec.learning_rate;
-  return spn_->FineTuneOnQueries(workload, spec.query_steps, ft);
+  // The default step is deliberately small: larger rates overshoot and
+  // oscillate when the same feedback queries are cycled for many steps.
+  constexpr double kDefaultLearningRate = 0.1;
+  return spn_->FineTuneOnQueries(
+      workload, spec.query_steps,
+      spec.learning_rate > 0.0 ? spec.learning_rate : kDefaultLearningRate);
 }
 
 }  // namespace uae::estimators

@@ -3,9 +3,9 @@
 // adaptation, routing, and sharding layers can deploy an SPN exactly like a
 // UAE: EstimateCard is one sampling-free bottom-up pass, FineTune runs the
 // multiplicative/EM update on sum weights and leaf histograms from labeled
-// feedback, CloneServable deep-copies to a bitwise-identical independent
-// candidate, and the whole object is pure for concurrent readers between
-// FineTune calls.
+// feedback (at FineTuneSpec::learning_rate, 0.1 by default), CloneServable
+// deep-copies to a bitwise-identical independent candidate, and the whole
+// object is pure for concurrent readers between FineTune calls.
 //
 // Purity note: SpnEstimator::EstimateCard reads the table's *live* row count,
 // which moves under streaming ingest. The servable instead snapshots the row
@@ -24,9 +24,6 @@ namespace uae::estimators {
 
 struct SpnServableConfig {
   SpnConfig spn;
-  /// Defaults for FineTune; FineTuneSpec.learning_rate > 0 overrides the
-  /// learning rate per call (the AdaptationController passthrough).
-  SpnFineTuneConfig finetune;
 };
 
 class SpnServable : public core::ServableModel {
@@ -44,8 +41,9 @@ class SpnServable : public core::ServableModel {
   std::shared_ptr<core::ServableModel> CloneServable() const override;
   /// Runs spec.query_steps multiplicative updates over `workload`
   /// (deterministically cycling it in order; spec.hybrid_epochs has no SPN
-  /// analogue and is ignored). Returns the number of distinct queries that
-  /// produced an update; 0 means the parameters are bitwise unchanged.
+  /// analogue and is ignored) at spec.learning_rate, or 0.1 when that is not
+  /// positive. Returns the number of distinct queries that produced an
+  /// update; 0 means the parameters are bitwise unchanged.
   size_t FineTune(const workload::Workload& workload,
                   const core::FineTuneSpec& spec) override;
 

@@ -2,13 +2,18 @@
 
 namespace uae::ingest {
 
+namespace {
+/// A short apply batch waits at most this long, anchored at its oldest row.
+constexpr std::chrono::microseconds kMaxWait{500};
+}  // namespace
+
 IngestService::IngestService(data::Table* table,
                              const shard::HorizontalPartitioner* partitioner,
                              const IngestConfig& config)
     : table_(table),
       partitioner_(partitioner),
       config_(config),
-      queue_(config.queue_capacity, config.max_batch, config.max_wait) {
+      queue_(config.queue_capacity, config.max_batch, kMaxWait) {
   UAE_CHECK(table_ != nullptr && partitioner_ != nullptr);
   UAE_CHECK_GE(config_.queue_capacity, size_t{1});
   UAE_CHECK_GE(config_.max_batch, size_t{1});

@@ -37,10 +37,9 @@ namespace uae::ingest {
 
 struct IngestConfig {
   size_t queue_capacity = 4096;  ///< Producers block (backpressure) above this.
-  size_t max_batch = 256;        ///< Rows admitted per apply batch.
-  /// An admitted batch waits at most this long (anchored at the oldest queued
-  /// row) before applying short.
-  std::chrono::microseconds max_wait{500};
+  /// Rows admitted per apply batch. A short batch applies once its oldest
+  /// row has waited 500 µs.
+  size_t max_batch = 256;
   /// Fold the delta region into the base once it holds this many rows
   /// (0 disables auto-compaction; CompactNow() is always available).
   size_t compact_min_delta = 16384;

@@ -17,8 +17,6 @@ const char* AdaptOutcomeName(AdaptOutcome outcome) {
       return "skipped-no-drift";
     case AdaptOutcome::kSkippedStaleSignal:
       return "skipped-stale-signal";
-    case AdaptOutcome::kSkippedCooldown:
-      return "skipped-cooldown";
     case AdaptOutcome::kSkippedNoFeedback:
       return "skipped-no-feedback";
     case AdaptOutcome::kSkippedBusy:
@@ -97,16 +95,6 @@ AdaptationResult AdaptationController::AdaptIfDrifted() {
     RecordOutcome(result);
     return result;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (last_attempt_observed_ > 0 &&
-        monitor_->TotalObserved() - last_attempt_observed_ <
-            config_.cooldown_observations) {
-      result.outcome = AdaptOutcome::kSkippedCooldown;
-      ++stats_.skipped;
-      return result;
-    }
-  }
   return AdaptNow();
 }
 
@@ -136,8 +124,7 @@ AdaptationResult AdaptationController::RunAdaptation(
   // makes that impossible for adaptations, but direct PublishSnapshot calls
   // are still allowed).
   std::shared_ptr<const serve::ModelSnapshot> snap = service_->CurrentSnapshot();
-  std::vector<FeedbackEntry> entries =
-      config_.drain_on_adapt ? collector_->Drain() : collector_->Snapshot();
+  std::vector<FeedbackEntry> entries = collector_->Drain();
   workload::Workload all = ToWorkload(entries, snap->model->num_rows());
   workload::Workload train, holdout;
   // Seeded by (controller, model, generation): deterministic for a given
@@ -151,20 +138,17 @@ AdaptationResult AdaptationController::RunAdaptation(
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.attempts;
-    last_attempt_observed_ = std::max<uint64_t>(1, monitor_->TotalObserved());
   }
 
   // Fine-tune a clone; the served snapshot keeps answering traffic untouched.
   // FineTune routes by model kind: a monolithic Uae trains on the whole
   // slice, a ShardedServable refits only the shards the feedback targets. The
   // clone is paid before routability is known — an unroutable slice wastes
-  // one parameter copy, bounded by the cooldown exactly like a guard
-  // rejection wastes one fine-tune.
+  // one parameter copy, as a guard rejection wastes one fine-tune.
   std::shared_ptr<core::ServableModel> candidate = snap->model->CloneServable();
   core::FineTuneSpec spec;
   spec.query_steps = config_.finetune_steps;
   spec.hybrid_epochs = config_.hybrid_epochs;
-  spec.learning_rate = config_.finetune_learning_rate;
   result.finetuned_size = candidate->FineTune(train, spec);
   if (config_.finetune_hook) config_.finetune_hook();
 
@@ -174,9 +158,7 @@ AdaptationResult AdaptationController::RunAdaptation(
   // anything. Skip; the drained feedback goes back like a guard rejection.
   if (!train.empty() && result.finetuned_size == 0) {
     result.outcome = AdaptOutcome::kSkippedUnusableFeedback;
-    if (config_.drain_on_adapt) {
-      for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
-    }
+    for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
     result.seconds = timer.ElapsedSeconds();
     RecordOutcome(result);
     adapt_lock.unlock();
@@ -194,11 +176,9 @@ AdaptationResult AdaptationController::RunAdaptation(
     result.outcome = AdaptOutcome::kRejectedByGuard;
     // The labels were expensive (one exact scan each) and the drift is still
     // unresolved: put drained feedback back so the next attempt does not have
-    // to re-accumulate from zero. Entries re-enter through the retention
-    // policy, mixing with whatever arrived during the fine-tune.
-    if (config_.drain_on_adapt) {
-      for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
-    }
+    // to re-accumulate from zero. Entries re-enter the sliding window after
+    // whatever arrived during the fine-tune.
+    for (FeedbackEntry& entry : entries) collector_->Add(std::move(entry));
   }
   result.seconds = timer.ElapsedSeconds();
   RecordOutcome(result);

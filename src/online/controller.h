@@ -17,10 +17,9 @@
 //     dethrone a healthy model;
 //   * max-concurrent-finetune = 1 — a try-lock serializes adaptations; a
 //     second trigger while one is in flight is skipped, not queued;
-//   * cooldown — a minimum number of fresh feedback observations between
-//     attempts, so the controller cannot thrash on the same drift signal;
 //   * stale-signal suppression — a drift report describing a generation that
-//     is no longer the served one is ignored.
+//     is no longer the served one is ignored, so a published candidate is
+//     judged on fresh evidence before the loop adapts again.
 //
 // Start()/Stop() poll AdaptIfDrifted() on a util::BackgroundLoop (the
 // autonomous mode); AdaptIfDrifted()/AdaptNow() are the synchronous building
@@ -46,23 +45,13 @@ struct AdaptationConfig {
   /// Alg. 3) for this many epochs instead of pure UAE-Q steps — slower, but
   /// anchors the candidate to the data distribution (less forgetting).
   int hybrid_epochs = 0;
-  /// Forwarded to FineTuneSpec.learning_rate: step size for backends with an
-  /// explicit fine-tune learning rate (the SPN's multiplicative update).
-  /// 0 keeps each model's own default; the UAE ignores it.
-  double finetune_learning_rate = 0.0;
   double holdout_fraction = 0.25; ///< Feedback held out for the guard.
   size_t min_feedback = 64;       ///< Don't adapt below this many entries.
   /// Reject the candidate when its held-out median q-error exceeds the
   /// incumbent's times this factor (1.0 = "must not be worse at all").
   double guard_max_ratio = 1.0;
-  /// Minimum new monitor observations between adaptation attempts
-  /// (observation-counted, not wall-clock, so tests stay deterministic).
-  uint64_t cooldown_observations = 0;
   uint64_t period_ms = 100;       ///< Background trigger-poll period.
   uint64_t split_seed = 7;        ///< Train/holdout shuffle seed.
-  /// Drain (consume) the buffer on adaptation; false keeps it (reservoir
-  /// setups that want one long-lived sample of the stream).
-  bool drain_on_adapt = true;
   /// Test seam: runs after fine-tuning, before the guard, while the
   /// adaptation lock is held (lets tests pin an adaptation in flight).
   std::function<void()> finetune_hook;
@@ -71,7 +60,6 @@ struct AdaptationConfig {
 enum class AdaptOutcome {
   kSkippedNoDrift,       ///< Monitor did not fire.
   kSkippedStaleSignal,   ///< Fired on a generation no longer being served.
-  kSkippedCooldown,      ///< Not enough fresh observations since last attempt.
   kSkippedNoFeedback,    ///< Buffer below min_feedback.
   kSkippedBusy,          ///< Another fine-tune is in flight.
   /// FineTune could not use any of the training slice (e.g. every feedback
@@ -136,7 +124,7 @@ class AdaptationController {
                   double true_card);
 
   /// Checks the trigger conditions (drift fired on the served generation,
-  /// cooldown elapsed, enough feedback) and adapts when they hold.
+  /// enough feedback) and adapts when they hold.
   AdaptationResult AdaptIfDrifted();
 
   /// Unconditional adaptation attempt (still subject to min_feedback, the
@@ -162,11 +150,8 @@ class AdaptationController {
   const AdaptationConfig config_;
 
   std::mutex adapt_mu_;  ///< max-concurrent-finetune = 1 (try_lock).
-  mutable std::mutex stats_mu_;  ///< Guards the two fields below.
+  mutable std::mutex stats_mu_;  ///< Guards stats_.
   AdaptationStats stats_;
-  /// Monitor observation count at the last attempt (the cooldown's origin);
-  /// written and read under stats_mu_.
-  uint64_t last_attempt_observed_ = 0;
 
   /// Declared last, so it is destroyed first: the thread is joined before
   /// any member its tick touches goes away.

@@ -5,7 +5,7 @@
 namespace uae::online {
 
 FeedbackCollector::FeedbackCollector(const FeedbackConfig& config)
-    : config_(config), rng_(config.seed) {
+    : config_(config) {
   UAE_CHECK_GT(config_.capacity, 0u);
   buffer_.reserve(config_.capacity);
 }
@@ -13,29 +13,13 @@ FeedbackCollector::FeedbackCollector(const FeedbackConfig& config)
 void FeedbackCollector::Add(FeedbackEntry entry) {
   std::lock_guard<std::mutex> lock(mu_);
   ++observed_;
-  ++since_drain_;
   if (buffer_.size() < config_.capacity) {
     buffer_.push_back(std::move(entry));
     return;
   }
-  switch (config_.policy) {
-    case FeedbackPolicy::kSlidingWindow:
-      // Ring overwrite: ring_next_ is the oldest surviving entry.
-      buffer_[ring_next_] = std::move(entry);
-      ring_next_ = (ring_next_ + 1) % config_.capacity;
-      break;
-    case FeedbackPolicy::kReservoir: {
-      // Algorithm R: the new entry replaces a uniformly chosen victim with
-      // probability capacity/n, keeping the buffer a uniform sample. The
-      // denominator counts arrivals since the last Drain() — the stream the
-      // current buffer actually represents — not lifetime arrivals, which
-      // would freeze the reservoir after the first drain.
-      uint64_t j = static_cast<uint64_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(since_drain_) - 1));
-      if (j < config_.capacity) buffer_[static_cast<size_t>(j)] = std::move(entry);
-      break;
-    }
-  }
+  // Ring overwrite: ring_next_ is the oldest surviving entry.
+  buffer_[ring_next_] = std::move(entry);
+  ring_next_ = (ring_next_ + 1) % config_.capacity;
 }
 
 size_t FeedbackCollector::Size() const {
@@ -49,19 +33,12 @@ uint64_t FeedbackCollector::TotalObserved() const {
 }
 
 std::vector<FeedbackEntry> FeedbackCollector::OrderedLocked() const {
-  // Under the sliding-window policy a full buffer is a ring: the slot about
-  // to be overwritten is the oldest entry. Rotate so callers always see
-  // arrival order. (Reservoir buffers have no meaningful order beyond
-  // insertion; they are returned as stored, which is deterministic.)
+  // A full buffer is a ring: the slot about to be overwritten is the oldest
+  // entry. Rotate so callers always see arrival order.
   std::vector<FeedbackEntry> out;
   out.reserve(buffer_.size());
-  if (config_.policy == FeedbackPolicy::kSlidingWindow &&
-      buffer_.size() == config_.capacity) {
-    for (size_t i = 0; i < buffer_.size(); ++i) {
-      out.push_back(buffer_[(ring_next_ + i) % config_.capacity]);
-    }
-  } else {
-    out = buffer_;
+  for (size_t i = 0; i < buffer_.size(); ++i) {
+    out.push_back(buffer_[(ring_next_ + i) % buffer_.size()]);
   }
   return out;
 }
@@ -76,7 +53,6 @@ std::vector<FeedbackEntry> FeedbackCollector::Drain() {
   std::vector<FeedbackEntry> out = OrderedLocked();
   buffer_.clear();
   ring_next_ = 0;
-  since_drain_ = 0;  // The reservoir restarts over the post-drain stream.
   return out;
 }
 

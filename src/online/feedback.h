@@ -4,21 +4,17 @@
 // estimate, and the collector buffers these labeled (query, true_card) pairs
 // until the AdaptationController drains them into a fine-tuning workload.
 //
-// The buffer is bounded and concurrent. Two retention policies:
-//   * kSlidingWindow — a ring that overwrites the oldest entry; the buffer is
-//     always the most recent `capacity` observations (best for drift: the
-//     newest traffic IS the shifted workload).
-//   * kReservoir — seeded reservoir sampling (Algorithm R) over everything
-//     ever observed, so the buffer stays a uniform sample of the whole stream
-//     (best when adaptation should not forget the old region entirely).
-// Both are deterministic given the seed and the arrival order.
+// The buffer is a bounded, concurrent sliding window: a ring that overwrites
+// the oldest entry, so it always holds the most recent `capacity`
+// observations (the newest traffic IS the shifted workload). Its contents are
+// a deterministic function of the arrival order.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/common.h"
 #include "workload/query.h"
 
 namespace uae::online {
@@ -40,15 +36,8 @@ struct FeedbackEntry {
   uint32_t join_mask = 0;       ///< 0: single-table; else the sub-plan tables.
 };
 
-enum class FeedbackPolicy {
-  kSlidingWindow,  ///< Keep the newest `capacity` entries.
-  kReservoir,      ///< Keep a uniform sample of the whole stream.
-};
-
 struct FeedbackConfig {
-  size_t capacity = 4096;
-  FeedbackPolicy policy = FeedbackPolicy::kSlidingWindow;
-  uint64_t seed = 1;  ///< Drives the reservoir's replacement decisions.
+  size_t capacity = 4096;  ///< The newest entries kept.
 };
 
 class FeedbackCollector {
@@ -56,7 +45,7 @@ class FeedbackCollector {
   explicit FeedbackCollector(const FeedbackConfig& config = {});
   UAE_DISALLOW_COPY(FeedbackCollector);
 
-  /// Thread-safe append (subject to the retention policy).
+  /// Thread-safe append; a full buffer overwrites its oldest entry.
   void Add(FeedbackEntry entry);
 
   /// Entries currently buffered (<= capacity).
@@ -80,10 +69,8 @@ class FeedbackCollector {
   const FeedbackConfig config_;
   mutable std::mutex mu_;
   std::vector<FeedbackEntry> buffer_;
-  size_t ring_next_ = 0;      ///< Sliding window: next slot to overwrite.
-  uint64_t observed_ = 0;     ///< Lifetime arrivals (reporting).
-  uint64_t since_drain_ = 0;  ///< Arrivals since Drain(): reservoir denominator.
-  util::Rng rng_;
+  size_t ring_next_ = 0;   ///< Next slot to overwrite once full.
+  uint64_t observed_ = 0;  ///< Lifetime arrivals (reporting).
 };
 
 /// Labeled workload from parallel (entry) arrays — the buffer -> Workload

@@ -23,6 +23,9 @@ constexpr uint32_t kVersion = 1;
 /// Background poll cadence of Start()ed refreshers.
 constexpr std::chrono::milliseconds kRefreshPeriod{50};
 
+/// EMA weight of a new observation in log space (see SubplanMemo::Observe).
+constexpr double kSmoothing = 0.5;
+
 }  // namespace
 
 uint64_t SubplanFss(const data::JoinUniverse& uni,
@@ -68,16 +71,11 @@ uint64_t SubplanFss(const data::JoinUniverse& uni,
   return h;
 }
 
-SubplanMemo::SubplanMemo(const SubplanMemoConfig& config) : config_(config) {
-  UAE_CHECK_GT(config_.smoothing, 0.0);
-  UAE_CHECK(config_.smoothing <= 1.0);
-}
-
 std::optional<double> SubplanMemo::Lookup(uint64_t fss) const {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.lookups;
   auto it = entries_.find(fss);
-  if (it == entries_.end() || it->second.nobs < config_.min_observations) {
+  if (it == entries_.end() || it->second.nobs == 0) {
     return std::nullopt;
   }
   ++stats_.hits;
@@ -93,8 +91,7 @@ void SubplanMemo::Observe(uint64_t fss, double observed_card) {
     e.fss = fss;
     e.log_card = log_obs;
   } else {
-    e.log_card = (1.0 - config_.smoothing) * e.log_card +
-                 config_.smoothing * log_obs;
+    e.log_card = (1.0 - kSmoothing) * e.log_card + kSmoothing * log_obs;
   }
   ++e.nobs;
 }

@@ -6,7 +6,8 @@
 // refresher folds them into the memo OFF the query path. On the next planning
 // of the same sub-plan the memo short-circuits the model entirely — the
 // optimizer plans with observed truth where it exists and learned estimates
-// where it does not.
+// where it does not. A sub-plan serves from its first observation; later
+// ones fold into a log-space EMA of weight 0.5.
 //
 // Thread-safety: SubplanMemo is fully thread-safe (one mutex; all operations
 // are O(1)-ish map touches, never model evaluations). The refresher polls on
@@ -47,19 +48,9 @@ namespace uae::optimizer {
 uint64_t SubplanFss(const data::JoinUniverse& uni,
                     const workload::JoinQuery& subplan);
 
-struct SubplanMemoConfig {
-  /// EMA weight of a new observation in log space:
-  ///   log_card <- (1 - smoothing) * log_card + smoothing * log(max(obs, 1)).
-  /// 1 = keep only the newest observation; the 0.5 default halves the
-  /// influence of history each refresh (AQO-style recency bias).
-  double smoothing = 0.5;
-  /// Lookup() reports a miss until a subplan has this many observations.
-  uint64_t min_observations = 1;
-};
-
 struct SubplanMemoStats {
   uint64_t lookups = 0;
-  uint64_t hits = 0;          ///< Lookups answered (nobs >= min_observations).
+  uint64_t hits = 0;          ///< Lookups answered (nobs >= 1).
   uint64_t observations = 0;  ///< Observe() calls folded in.
 };
 
@@ -72,15 +63,18 @@ struct SubplanMemoEntry {
 
 class SubplanMemo {
  public:
-  explicit SubplanMemo(const SubplanMemoConfig& config = {});
+  SubplanMemo() = default;
   UAE_DISALLOW_COPY(SubplanMemo);
 
-  /// Memoized cardinality for the sub-plan hash, or nullopt while the memo
-  /// has fewer than min_observations executions of it. Thread-safe.
+  /// Memoized cardinality for the sub-plan hash, or nullopt until the memo
+  /// has observed an execution of it. Thread-safe.
   std::optional<double> Lookup(uint64_t fss) const;
 
-  /// Folds one observed true cardinality into the sub-plan's entry
-  /// (log-space EMA; see SubplanMemoConfig::smoothing). Thread-safe.
+  /// Folds one observed true cardinality into the sub-plan's entry as a
+  /// log-space EMA that halves the weight of history each time (AQO-style
+  /// recency bias):
+  ///   log_card <- 0.5 * log_card + 0.5 * log(max(obs, 1)).
+  /// Thread-safe.
   void Observe(uint64_t fss, double observed_card);
 
   size_t Size() const;
@@ -95,7 +89,6 @@ class SubplanMemo {
   util::Status Load(const std::string& path);
 
  private:
-  const SubplanMemoConfig config_;
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, SubplanMemoEntry> entries_;
   mutable SubplanMemoStats stats_;

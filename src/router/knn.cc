@@ -5,6 +5,12 @@
 
 namespace uae::router {
 
+namespace {
+/// Distance smoothing: a neighbour weighs 1 / (d^2 + kEps), so an exact
+/// repeat (d = 0) dominates without dividing by zero.
+constexpr double kEps = 1e-6;
+}  // namespace
+
 ClassKnn::ClassKnn(std::vector<float> features, std::vector<double> log_cards,
                    size_t dim)
     : features_(std::move(features)),
@@ -38,7 +44,7 @@ std::optional<double> ClassKnn::PredictLogCard(std::span<const float> features,
   double weight_total = 0.0;
   double acc = 0.0;
   for (size_t i = 0; i < k; ++i) {
-    const double w = 1.0 / (dist[i].first + config.eps);
+    const double w = 1.0 / (dist[i].first + kEps);
     weight_total += w;
     acc += w * log_cards_[dist[i].second];
   }

@@ -26,7 +26,6 @@ struct KnnConfig {
   size_t capacity = 64;  ///< Labeled points kept per class (ring overwrite).
   int k = 4;             ///< Neighbours consulted per prediction.
   size_t min_points = 4; ///< Predict() refuses until the class has this many.
-  double eps = 1e-6;     ///< Distance smoothing: weight = 1 / (d^2 + eps).
 };
 
 /// Immutable per-class point set, readable concurrently without locks.

@@ -4,8 +4,8 @@
 // fingerprint the estimator derives its per-query RNG from, so a cached value
 // is exactly the double the model would recompute. Tying the generation into
 // the key makes a snapshot swap an implicit wholesale invalidation: entries
-// of older generations can never be served again and age out of the LRU (or
-// are dropped eagerly via EvictBelowGeneration).
+// of older generations can never be served again, and the service drops them
+// on publish via EvictBelowGeneration.
 //
 // Sharding bounds contention: each shard has its own mutex, hash map and LRU
 // list, and a fingerprint always maps to the same shard.

@@ -149,9 +149,7 @@ uint64_t EstimationService::PublishSnapshot(
   UAE_CHECK(model != nullptr);
   uint64_t generation = slot_.Publish(ModelSnapshot{0, std::move(model)});
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.evict_stale_on_publish) {
-    cache_.EvictBelowGeneration(generation);
-  }
+  cache_.EvictBelowGeneration(generation);
   return generation;
 }
 

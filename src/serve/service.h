@@ -81,9 +81,6 @@ struct ServiceConfig {
   // Result cache.
   bool cache_enabled = true;
   ResultCacheConfig cache;
-
-  /// Eagerly drop cache entries of superseded generations on publish.
-  bool evict_stale_on_publish = true;
 };
 
 /// One published (generation, frozen model) pair. The model is any
@@ -148,8 +145,9 @@ class EstimationService {
   /// Non-blocking join estimate; same resolution rules as EstimateAsync.
   std::future<ServeResult> EstimateJoinAsync(const workload::JoinQuery& query);
 
-  /// Atomically publishes a new model snapshot; in-flight batches finish on
-  /// the snapshot they started with. Returns the new generation.
+  /// Atomically publishes a new model snapshot and evicts the cache entries
+  /// of older generations; in-flight batches finish on the snapshot they
+  /// started with. Returns the new generation.
   uint64_t PublishSnapshot(std::shared_ptr<const core::ServableModel> model);
 
   uint64_t CurrentGeneration() const { return slot_.CurrentGeneration(); }

@@ -8,16 +8,6 @@
 
 namespace uae::shard {
 
-const char* PartitionSchemeName(PartitionScheme scheme) {
-  switch (scheme) {
-    case PartitionScheme::kRange:
-      return "range";
-    case PartitionScheme::kHash:
-      return "hash";
-  }
-  return "?";
-}
-
 uint64_t MixShardSeed(uint64_t base_seed, int shard_id) {
   if (shard_id == 0) return base_seed;
   return util::SplitMix64(base_seed ^
@@ -39,11 +29,7 @@ HorizontalPartitioner::HorizontalPartitioner(const data::Table& table,
   config_.num_shards = std::clamp(config_.num_shards, 1, domain_);
 
   code_to_shard_.assign(static_cast<size_t>(domain_), 0);
-  if (config_.scheme == PartitionScheme::kRange) {
-    BuildRangeScheme(col);
-  } else {
-    BuildHashScheme(col);
-  }
+  BuildRanges(col);
 
   // Row assignment (ascending => Materialize preserves original row order).
   shard_rows_.assign(shards_.size(), {});
@@ -56,7 +42,7 @@ HorizontalPartitioner::HorizontalPartitioner(const data::Table& table,
   }
 }
 
-void HorizontalPartitioner::BuildRangeScheme(const data::Column& col) {
+void HorizontalPartitioner::BuildRanges(const data::Column& col) {
   const int n = config_.num_shards;
   const std::vector<int64_t>& freq = col.Frequencies();
   const size_t total = col.num_rows();
@@ -81,8 +67,6 @@ void HorizontalPartitioner::BuildRangeScheme(const data::Column& col) {
       d.shard_id = shard;
       d.code_lo = lo;
       d.code_hi = c;
-      d.num_codes = c - lo + 1;
-      d.sole_code = d.num_codes == 1 ? lo : -1;
       shards_.push_back(d);
       ++shard;
       lo = c + 1;
@@ -92,36 +76,13 @@ void HorizontalPartitioner::BuildRangeScheme(const data::Column& col) {
   last.shard_id = shard;
   last.code_lo = lo;
   last.code_hi = domain_ - 1;
-  last.num_codes = domain_ - lo;
-  last.sole_code = last.num_codes == 1 ? lo : -1;
   shards_.push_back(last);
   UAE_CHECK_EQ(static_cast<int>(shards_.size()), n);
-}
-
-void HorizontalPartitioner::BuildHashScheme(const data::Column& col) {
-  (void)col;
-  const int n = config_.num_shards;
-  shards_.resize(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) shards_[static_cast<size_t>(s)].shard_id = s;
-  for (int32_t c = 0; c < domain_; ++c) {
-    int s = static_cast<int>(
-        util::SplitMix64(config_.seed ^ static_cast<uint64_t>(c)) %
-        static_cast<uint64_t>(n));
-    code_to_shard_[static_cast<size_t>(c)] = s;
-    ShardDescriptor& d = shards_[static_cast<size_t>(s)];
-    d.sole_code = d.num_codes == 0 ? c : -1;
-    ++d.num_codes;
-  }
 }
 
 int HorizontalPartitioner::ShardForIngestCode(int32_t code,
                                               const data::Column& column) const {
   if (code >= 0 && code < domain_) return ShardForCode(code);
-  if (config_.scheme == PartitionScheme::kHash) {
-    return static_cast<int>(
-        util::SplitMix64(config_.seed ^ static_cast<uint64_t>(code)) %
-        static_cast<uint64_t>(num_shards()));
-  }
   const int32_t anchor =
       std::min(column.LowerBoundCode(column.ValueForCode(code)), domain_ - 1);
   return ShardForCode(anchor);
@@ -153,15 +114,6 @@ std::vector<int> HorizontalPartitioner::CandidateShards(
   };
   if (config_.partition_col >= query.num_cols()) return all();
   const workload::Constraint& c = query.constraint(config_.partition_col);
-  if (!c.IsActive()) return all();
-
-  std::vector<uint8_t> hit(static_cast<size_t>(n), 0);
-  auto mark_code = [&](int32_t code) {
-    if (code >= 0 && code < domain_) {
-      hit[static_cast<size_t>(code_to_shard_[static_cast<size_t>(code)])] = 1;
-    }
-  };
-
   switch (c.kind) {
     case workload::Constraint::Kind::kNone:
       return all();
@@ -169,22 +121,25 @@ std::vector<int> HorizontalPartitioner::CandidateShards(
       const int32_t lo = std::max(c.lo, 0);
       const int32_t hi = std::min(c.hi, domain_ - 1);
       if (lo > hi) return {};  // Provably empty: prune everything.
-      if (config_.scheme == PartitionScheme::kRange) {
-        // Contiguous code interval => contiguous shard interval.
-        const int first = ShardForCode(lo);
-        const int last = ShardForCode(hi);
-        std::vector<int> out(static_cast<size_t>(last - first + 1));
-        std::iota(out.begin(), out.end(), first);
-        return out;
-      }
-      if (hi - lo + 1 > config_.hash_range_enum_limit) return all();
-      for (int32_t code = lo; code <= hi; ++code) mark_code(code);
-      break;
+      // Contiguous code interval => contiguous shard interval.
+      const int first = ShardForCode(lo);
+      const int last = ShardForCode(hi);
+      std::vector<int> out(static_cast<size_t>(last - first + 1));
+      std::iota(out.begin(), out.end(), first);
+      return out;
     }
     case workload::Constraint::Kind::kIn: {
-      if (c.in_codes.empty()) return {};
-      for (int32_t code : c.in_codes) mark_code(code);
-      break;
+      std::vector<uint8_t> hit(static_cast<size_t>(n), 0);
+      for (int32_t code : c.in_codes) {
+        if (code >= 0 && code < domain_) {
+          hit[static_cast<size_t>(ShardForCode(code))] = 1;
+        }
+      }
+      std::vector<int> out;
+      for (int s = 0; s < n; ++s) {
+        if (hit[static_cast<size_t>(s)]) out.push_back(s);
+      }
+      return out;
     }
     case workload::Constraint::Kind::kNotEqual: {
       // Every shard keeps some other code unless its code set is exactly
@@ -193,17 +148,13 @@ std::vector<int> HorizontalPartitioner::CandidateShards(
       out.reserve(static_cast<size_t>(n));
       for (int s = 0; s < n; ++s) {
         const ShardDescriptor& d = shards_[static_cast<size_t>(s)];
-        if (d.num_codes == 1 && d.sole_code == c.neq) continue;
+        if (d.code_lo == d.code_hi && d.code_lo == c.neq) continue;
         out.push_back(s);
       }
       return out;
     }
   }
-  std::vector<int> out;
-  for (int s = 0; s < n; ++s) {
-    if (hit[static_cast<size_t>(s)]) out.push_back(s);
-  }
-  return out;
+  return all();
 }
 
 bool HorizontalPartitioner::MayMatch(const workload::Query& query, int s) const {

@@ -1,17 +1,13 @@
-// HorizontalPartitioner — deterministic, seed-stable assignment of a table's
-// rows to N shards keyed on one partition column, in the spirit of the
-// partition-wise models of the SPN line of work (PAPERS.md: "A Unified Model
-// for Cardinality Estimation ... via Sum-Product Networks"): decompose the
-// data into regions, fit a local model per region.
+// HorizontalPartitioner — deterministic assignment of a table's rows to N
+// shards keyed on one partition column, in the spirit of the partition-wise
+// models of the SPN line of work (PAPERS.md: "A Unified Model for Cardinality
+// Estimation ... via Sum-Product Networks"): decompose the data into regions,
+// fit a local model per region.
 //
-// Two schemes:
-//  * kRange — equi-depth ranges over the partition column's (order-preserving)
-//    code space: shard k owns the contiguous code interval [code_lo, code_hi],
-//    boundaries chosen so row counts balance. Range/equality/IN predicates on
-//    the partition column prune to the overlapping shards.
-//  * kHash — shard(code) = SplitMix64(seed ^ code) % N. Robust to skew drift
-//    (no boundary re-tuning) but only point predicates (=, IN, tight ranges)
-//    prune.
+// Equi-depth ranges over the partition column's (order-preserving) code
+// space: shard k owns the contiguous code interval [code_lo, code_hi],
+// boundaries chosen so row counts balance. Range/equality/IN predicates on the
+// partition column prune to the overlapping shards.
 //
 // The assignment is a pure function of (column contents, config): the same
 // table and config always produce identical shards, so per-shard models are
@@ -27,29 +23,17 @@
 
 namespace uae::shard {
 
-enum class PartitionScheme { kRange, kHash };
-
-const char* PartitionSchemeName(PartitionScheme scheme);
-
 struct PartitionConfig {
-  int num_shards = 4;  ///< Clamped to the partition column's domain.
-  PartitionScheme scheme = PartitionScheme::kRange;
+  int num_shards = 4;      ///< Clamped to the partition column's domain.
   int partition_col = -1;  ///< -1 => the table's largest-domain column.
-  uint64_t seed = 1;       ///< Salts kHash; kRange ignores it.
-  /// kHash pruning of a range constraint enumerates its codes; ranges wider
-  /// than this fan out to every shard instead (enumeration would cost more
-  /// than it saves).
-  int32_t hash_range_enum_limit = 4096;
 };
 
 /// Where one shard lives in the partition column's code space.
 struct ShardDescriptor {
   int shard_id = 0;
-  int32_t code_lo = 0;   ///< kRange: inclusive code interval. kHash: unused.
+  int32_t code_lo = 0;  ///< Inclusive code interval [code_lo, code_hi].
   int32_t code_hi = -1;
-  int32_t num_codes = 0;  ///< Codes assigned to this shard.
-  int32_t sole_code = -1; ///< The one code, when num_codes == 1.
-  size_t rows = 0;        ///< Rows assigned to this shard.
+  size_t rows = 0;      ///< Rows assigned to this shard.
 };
 
 class HorizontalPartitioner {
@@ -75,10 +59,9 @@ class HorizontalPartitioner {
 
   /// Shard for an ingested row's partition-column code, which may be an
   /// overflow code above the frozen domain (the shard map only covers frozen
-  /// codes). kRange places the row where its *value* would sort — the shard
-  /// owning LowerBoundCode(value), clamped — so range locality survives
-  /// streaming; kHash hashes the stable overflow code directly. `column` must
-  /// be the live partition column (for the value lookup).
+  /// codes). The row goes where its *value* would sort — the shard owning
+  /// LowerBoundCode(value), clamped — so range locality survives streaming.
+  /// `column` must be the live partition column (for the value lookup).
   int ShardForIngestCode(int32_t code, const data::Column& column) const;
 
   /// Row indices assigned to shard `s`, ascending (original row order).
@@ -107,8 +90,7 @@ class HorizontalPartitioner {
   bool MayMatch(const workload::Query& query, int s) const;
 
  private:
-  void BuildRangeScheme(const data::Column& col);
-  void BuildHashScheme(const data::Column& col);
+  void BuildRanges(const data::Column& col);
 
   PartitionConfig config_;
   int32_t domain_ = 0;

@@ -18,16 +18,6 @@ double LogSumExp(const std::vector<double>& xs) {
   return m + std::log(s);
 }
 
-float LogSumExpF(const float* xs, size_t n) {
-  if (n == 0) return -std::numeric_limits<float>::infinity();
-  float m = xs[0];
-  for (size_t i = 1; i < n; ++i) m = std::max(m, xs[i]);
-  if (!std::isfinite(m)) return m;
-  float s = 0.f;
-  for (size_t i = 0; i < n; ++i) s += std::exp(xs[i] - m);
-  return m + std::log(s);
-}
-
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
 double NormalPdf(double x) {
@@ -114,21 +104,6 @@ double NormalizedMutualInformation(const std::vector<int32_t>& a, int32_t domain
   double hb = Entropy(b, domain_b);
   if (ha <= 0.0 || hb <= 0.0) return 0.0;
   return MutualInformation(a, domain_a, b, domain_b) / std::sqrt(ha * hb);
-}
-
-double PearsonCorrelation(const std::vector<double>& a, const std::vector<double>& b) {
-  UAE_CHECK_EQ(a.size(), b.size());
-  if (a.size() < 2) return 0.0;
-  double ma = Mean(a), mb = Mean(b);
-  double sab = 0.0, saa = 0.0, sbb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double da = a[i] - ma, db = b[i] - mb;
-    sab += da * db;
-    saa += da * da;
-    sbb += db * db;
-  }
-  if (saa <= 0.0 || sbb <= 0.0) return 0.0;
-  return sab / std::sqrt(saa * sbb);
 }
 
 }  // namespace uae::util

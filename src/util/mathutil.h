@@ -20,7 +20,6 @@ inline uint64_t SplitMix64(uint64_t x) {
 
 /// log(sum_i exp(x_i)) computed stably. Returns -inf for empty input.
 double LogSumExp(const std::vector<double>& xs);
-float LogSumExpF(const float* xs, size_t n);
 
 /// Standard normal CDF Phi(x).
 double NormalCdf(double x);
@@ -45,8 +44,5 @@ double MutualInformation(const std::vector<int32_t>& a, int32_t domain_a,
 /// Used as our NCIE-style nonlinear correlation measure.
 double NormalizedMutualInformation(const std::vector<int32_t>& a, int32_t domain_a,
                                    const std::vector<int32_t>& b, int32_t domain_b);
-
-/// Pearson correlation of two double vectors (0 if degenerate).
-double PearsonCorrelation(const std::vector<double>& a, const std::vector<double>& b);
 
 }  // namespace uae::util

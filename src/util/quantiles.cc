@@ -67,9 +67,4 @@ std::string FormatError(double v) {
   return buf;
 }
 
-std::string FormatSummary(const ErrorSummary& s) {
-  return FormatError(s.mean) + "  " + FormatError(s.median) + "  " +
-         FormatError(s.p95) + "  " + FormatError(s.max);
-}
-
 }  // namespace uae::util

@@ -27,9 +27,6 @@ struct ErrorSummary {
 
 ErrorSummary Summarize(const std::vector<double>& errors);
 
-/// Formats a summary as "mean median p95 max" with 4-significant-digit style.
-std::string FormatSummary(const ErrorSummary& s);
-
 /// Compact number formatting like the paper's tables (e.g. 1.058, 2.1e4).
 std::string FormatError(double v);
 

@@ -68,9 +68,6 @@ class Rng {
 
   std::mt19937_64& engine() { return gen_; }
 
-  /// Derives an independent child generator (for parallel determinism).
-  Rng Fork() { return Rng(gen_()); }
-
  private:
   std::mt19937_64 gen_;
 };

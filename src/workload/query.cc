@@ -8,19 +8,6 @@
 
 namespace uae::workload {
 
-const char* OpName(Op op) {
-  switch (op) {
-    case Op::kEq: return "=";
-    case Op::kNeq: return "!=";
-    case Op::kLt: return "<";
-    case Op::kLe: return "<=";
-    case Op::kGt: return ">";
-    case Op::kGe: return ">=";
-    case Op::kIn: return "IN";
-  }
-  return "?";
-}
-
 bool Constraint::Matches(int32_t code) const {
   switch (kind) {
     case Kind::kNone:

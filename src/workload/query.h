@@ -20,8 +20,6 @@ namespace uae::workload {
 
 enum class Op { kEq, kNeq, kLt, kLe, kGt, kGe, kIn };
 
-const char* OpName(Op op);
-
 /// One predicate in code space. For kIn, `in_codes` holds the sorted codes.
 struct Predicate {
   int col = 0;
@@ -41,8 +39,6 @@ struct Constraint {
 
   bool IsActive() const { return kind != Kind::kNone; }
   bool Matches(int32_t code) const;
-  /// True when the allowed set is a contiguous code interval (incl. kNone).
-  bool IsContiguous() const { return kind == Kind::kNone || kind == Kind::kRange; }
   /// Number of allowed codes out of `domain`.
   int64_t AllowedCount(int32_t domain) const;
   /// Dense 0/1 allowed mask of length `domain`.

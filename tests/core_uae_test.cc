@@ -98,7 +98,12 @@ TEST(UaeTest, IngestWorkloadAdaptsToShiftedQueries) {
     return s / static_cast<double>(test.size());
   };
   double before = mean_err();
-  uae.IngestWorkload(train, 4);
+  // The shifted workload goes in through FineTune: four epochs of
+  // size / query_batch UAE-Q steps each.
+  FineTuneSpec spec;
+  spec.query_steps =
+      4 * std::max(1, static_cast<int>(train.size()) / std::max(1, cfg.query_batch));
+  uae.FineTune(train, spec);
   double after = mean_err();
   EXPECT_LE(after, before * 1.05) << "workload ingestion made things worse";
 }

@@ -105,7 +105,7 @@ double MedianQError(const core::ServableModel& model,
 TEST(OnlineAdaptationE2ETest, DriftTriggeredFinetuneRecoversAccuracy) {
   Scenario& s = Shared();
   serve::EstimationService service(s.model);
-  FeedbackCollector collector({.capacity = 1024, .seed = kSeed});
+  FeedbackCollector collector({.capacity = 1024});
   DriftMonitor monitor(MonitorConfig());
   AdaptationController controller(&service, &collector, &monitor,
                                   ControllerConfig());
@@ -159,7 +159,7 @@ TEST(OnlineAdaptationE2ETest, DriftTriggeredFinetuneRecoversAccuracy) {
 TEST(OnlineAdaptationE2ETest, BackgroundControllerAdaptsAutonomously) {
   Scenario& s = Shared();
   serve::EstimationService service(s.model);
-  FeedbackCollector collector({.capacity = 1024, .seed = kSeed});
+  FeedbackCollector collector({.capacity = 1024});
   DriftMonitor monitor(MonitorConfig());
   AdaptationConfig cfg = ControllerConfig();
   cfg.period_ms = 5;

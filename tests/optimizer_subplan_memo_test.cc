@@ -135,25 +135,14 @@ TEST(SubplanMemoTest, MissObserveHitLifecycle) {
   EXPECT_NEAR(*memo.Lookup(42), 1000.0, 1e-9);
   EXPECT_EQ(memo.Size(), 1u);
 
-  // Log-space EMA with the default smoothing 0.5: observing 10x the old
-  // value moves the memo to the geometric midpoint.
+  // Log-space EMA with smoothing 0.5: observing 10x the old value moves the
+  // memo to the geometric midpoint.
   memo.Observe(42, 10000.0);
   EXPECT_NEAR(*memo.Lookup(42), std::sqrt(1000.0 * 10000.0), 1e-6);
 
   SubplanMemoStats stats = memo.Stats();
   EXPECT_EQ(stats.observations, 2u);
   EXPECT_GE(stats.hits, 3u);
-}
-
-TEST(SubplanMemoTest, MinObservationsGateLookups) {
-  SubplanMemoConfig cfg;
-  cfg.min_observations = 2;
-  SubplanMemo memo(cfg);
-  memo.Observe(7, 500.0);
-  EXPECT_FALSE(memo.Lookup(7).has_value()) << "one observation must not serve";
-  memo.Observe(7, 500.0);
-  ASSERT_TRUE(memo.Lookup(7).has_value());
-  EXPECT_NEAR(*memo.Lookup(7), 500.0, 1e-9);
 }
 
 TEST(SubplanMemoTest, PersistenceRoundTripIsBitwise) {

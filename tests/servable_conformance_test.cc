@@ -2,21 +2,19 @@
 // implementation must pass — core::Uae, shard::ShardedUae, the SPN servable,
 // router::HybridRouter, ingest::DeltaAwareModel and the nine §5 baselines.
 //
-// Four checks, all bitwise where they compare estimates:
+// Five checks, all bitwise where they compare estimates:
 //   * EstimateCards equals EstimateCard on the whole batch (per-query calls
 //     in reverse order), on both halves, on an empty and a one-query batch;
 //   * a clone answers like its source and reports the same metadata;
 //   * fine-tuning a clone leaves the source unchanged, and a clone whose
 //     FineTune returned 0 is unchanged too;
-//   * every estimate, an all-wildcard query's included, is finite and >= 0.
+//   * every estimate, an all-wildcard query's included, is finite and >= 0;
+//   * an all-wildcard query comes out within 1% of num_rows().
 //
-// Two properties stay out on purpose. An upper bound of num_rows(): UAE
+// One property stays out on purpose: an upper bound of num_rows(). UAE
 // answers can exceed it by float32 rounding (perfbench's `[checks]
 // rounding:` lines count them), which a clamp at the serving boundary should
-// fix, not a slack here. And "an
-// all-wildcard query comes out close to num_rows()": the query-driven MSCNs
-// never see an all-wildcard query in training; here they answer it with 3.9
-// and 0.47 of 1,500 rows.
+// fix, not a slack here.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -217,6 +215,13 @@ TEST_P(ServableConformanceTest, EstimatesAreFiniteAndNonNegative) {
     EXPECT_TRUE(std::isfinite(cards[i])) << "query " << i << ": " << cards[i];
     EXPECT_GE(cards[i], 0.0) << "query " << i;
   }
+}
+
+TEST_P(ServableConformanceTest, AllWildcardQueryAnswersNearNumRows) {
+  const core::ServableModel& m = model();
+  const workload::Query all_rows(zoo().table.num_cols());
+  const double rows = static_cast<double>(m.num_rows());
+  EXPECT_NEAR(m.EstimateCard(all_rows), rows, 0.01 * rows);
 }
 
 INSTANTIATE_TEST_SUITE_P(

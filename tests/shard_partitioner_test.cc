@@ -23,47 +23,31 @@ TEST(PartitionerTest, SeedStableAndDeterministic) {
   data::Table t = MakeTable(2000, 3);
   PartitionConfig config;
   config.num_shards = 4;
-  for (PartitionScheme scheme : {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    config.scheme = scheme;
-    HorizontalPartitioner a(t, config);
-    HorizontalPartitioner b(t, config);
-    ASSERT_EQ(a.num_shards(), b.num_shards());
-    for (int s = 0; s < a.num_shards(); ++s) {
-      EXPECT_EQ(a.RowsForShard(s), b.RowsForShard(s)) << PartitionSchemeName(scheme);
-      EXPECT_EQ(a.shard(s).code_lo, b.shard(s).code_lo);
-      EXPECT_EQ(a.shard(s).code_hi, b.shard(s).code_hi);
-    }
+  HorizontalPartitioner a(t, config);
+  HorizontalPartitioner b(t, config);
+  ASSERT_EQ(a.num_shards(), b.num_shards());
+  for (int s = 0; s < a.num_shards(); ++s) {
+    EXPECT_EQ(a.RowsForShard(s), b.RowsForShard(s));
+    EXPECT_EQ(a.shard(s).code_lo, b.shard(s).code_lo);
+    EXPECT_EQ(a.shard(s).code_hi, b.shard(s).code_hi);
   }
-  // A different hash seed produces a different assignment.
-  config.scheme = PartitionScheme::kHash;
-  HorizontalPartitioner h1(t, config);
-  config.seed = 99;
-  HorizontalPartitioner h2(t, config);
-  bool any_differ = false;
-  for (int s = 0; s < h1.num_shards() && !any_differ; ++s) {
-    any_differ = h1.RowsForShard(s) != h2.RowsForShard(s);
-  }
-  EXPECT_TRUE(any_differ);
 }
 
 TEST(PartitionerTest, RowsPartitionedExactlyOnce) {
   data::Table t = MakeTable(1500, 7);
-  for (PartitionScheme scheme : {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    PartitionConfig config;
-    config.scheme = scheme;
-    config.num_shards = 5;
-    HorizontalPartitioner p(t, config);
-    std::set<size_t> seen;
-    size_t total = 0;
-    for (int s = 0; s < p.num_shards(); ++s) {
-      for (size_t r : p.RowsForShard(s)) {
-        EXPECT_TRUE(seen.insert(r).second) << "row " << r << " in two shards";
-      }
-      total += p.RowsForShard(s).size();
-      EXPECT_EQ(p.shard(s).rows, p.RowsForShard(s).size());
+  PartitionConfig config;
+  config.num_shards = 5;
+  HorizontalPartitioner p(t, config);
+  std::set<size_t> seen;
+  size_t total = 0;
+  for (int s = 0; s < p.num_shards(); ++s) {
+    for (size_t r : p.RowsForShard(s)) {
+      EXPECT_TRUE(seen.insert(r).second) << "row " << r << " in two shards";
     }
-    EXPECT_EQ(total, t.num_rows());
+    total += p.RowsForShard(s).size();
+    EXPECT_EQ(p.shard(s).rows, p.RowsForShard(s).size());
   }
+  EXPECT_EQ(total, t.num_rows());
 }
 
 TEST(PartitionerTest, RangeShardsAreContiguousAndBalanced) {
@@ -127,38 +111,34 @@ TEST(PartitionerTest, MaterializePreservesDictionariesAndRowOrder) {
 /// with no matching rows — is allowed: pruning is conservative.)
 TEST(PartitionerTest, CandidateShardsNeverDropAMatchingShard) {
   data::Table t = MakeTable(1200, 17);
-  for (PartitionScheme scheme : {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    PartitionConfig config;
-    config.scheme = scheme;
-    config.num_shards = 6;
-    HorizontalPartitioner p(t, config);
-    std::vector<data::Table> shards = p.Materialize(t, "dmv");
+  PartitionConfig config;
+  config.num_shards = 6;
+  HorizontalPartitioner p(t, config);
+  std::vector<data::Table> shards = p.Materialize(t, "dmv");
 
-    workload::GeneratorConfig gc;
-    gc.bounded_col = p.partition_col();
-    gc.target_volume = 0.05;
-    gc.min_filters = 1;
-    gc.max_filters = 3;
-    workload::QueryGenerator gen(t, gc, 23);
-    for (int i = 0; i < 40; ++i) {
-      workload::Query q = gen.Generate();
-      std::vector<int> cands = p.CandidateShards(q);
-      int64_t total = workload::ExecuteCount(t, q);
-      int64_t covered = 0;
-      for (int s = 0; s < p.num_shards(); ++s) {
-        int64_t in_shard =
-            workload::ExecuteCount(shards[static_cast<size_t>(s)], q);
-        if (in_shard > 0) {
-          EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), s))
-              << "pruned a shard with " << in_shard << " matching rows ("
-              << PartitionSchemeName(scheme) << ")";
-          EXPECT_TRUE(p.MayMatch(q, s));
-        }
-        covered += in_shard;
+  workload::GeneratorConfig gc;
+  gc.bounded_col = p.partition_col();
+  gc.target_volume = 0.05;
+  gc.min_filters = 1;
+  gc.max_filters = 3;
+  workload::QueryGenerator gen(t, gc, 23);
+  for (int i = 0; i < 40; ++i) {
+    workload::Query q = gen.Generate();
+    std::vector<int> cands = p.CandidateShards(q);
+    int64_t total = workload::ExecuteCount(t, q);
+    int64_t covered = 0;
+    for (int s = 0; s < p.num_shards(); ++s) {
+      int64_t in_shard =
+          workload::ExecuteCount(shards[static_cast<size_t>(s)], q);
+      if (in_shard > 0) {
+        EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), s))
+            << "pruned a shard with " << in_shard << " matching rows";
+        EXPECT_TRUE(p.MayMatch(q, s));
       }
-      // Shards partition the rows: per-shard counts sum to the global count.
-      EXPECT_EQ(covered, total);
+      covered += in_shard;
     }
+    // Shards partition the rows: per-shard counts sum to the global count.
+    EXPECT_EQ(covered, total);
   }
 }
 

@@ -443,7 +443,7 @@ TEST(SpnServableTest, AdaptationControllerRoundTrip) {
   const double stale_median = MedianQError(*stale, s.test);
 
   serve::EstimationService service(stale);
-  online::FeedbackCollector collector({.capacity = 1024, .seed = 5});
+  online::FeedbackCollector collector({.capacity = 1024});
   online::DriftMonitor monitor(
       {.window = 512, .min_samples = 48, .median_threshold = 1.2});
   online::AdaptationConfig cfg;
