@@ -91,8 +91,7 @@ int Run(int argc, char** argv) {
     estimators::KdeEstimator kde(dmv, 2000, config.seed);
     time_estimator("KDE", [&](const workload::Query& q) { return kde.EstimateCard(q); });
 
-    estimators::SpnConfig spn_cfg;
-    estimators::SpnEstimator spn(dmv, spn_cfg);
+    estimators::SpnServable spn(dmv, estimators::SpnServableConfig{});
     time_estimator("DeepDB",
                    [&](const workload::Query& q) { return spn.EstimateCard(q); });
 

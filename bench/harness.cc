@@ -246,7 +246,7 @@ std::vector<ResultRow> RunSingleTableComparison(const std::string& dataset,
   {
     util::Stopwatch t;
     estimators::SpnServableConfig sc;
-    sc.spn.seed = config.seed;
+    sc.seed = config.seed;
     estimators::SpnServable spn(table, sc);
     auto row = EvaluateEstimator("DeepDB", spn, prep_in, prep_random);
     row.train_seconds = t.ElapsedSeconds();

@@ -32,7 +32,7 @@
 //
 // Usage:
 //   bench_spn_serving [--out=BENCH_spn.json] [--rows=8000] [--train=96]
-//                     [--test=96] [--steps=1024] [--lr=0] [--uae-epochs=1]
+//                     [--test=96] [--steps=1024] [--uae-epochs=1]
 //                     [--reps=5] [--seed=21]
 #include <algorithm>
 #include <cstdio>
@@ -63,7 +63,6 @@ struct Options {
   int train = 96;       ///< Labeled fine-tune feedback queries.
   int test = 96;        ///< Held-out labeled test queries.
   int steps = 1024;     ///< FineTuneSpec::query_steps.
-  double lr = 0.0;      ///< FineTuneSpec::learning_rate (0 = model default).
   int uae_epochs = 1;   ///< UAE-D data epochs for the head-to-head.
   int reps = 5;         ///< Latency measurement repetitions.
   uint64_t seed = 21;
@@ -129,7 +128,6 @@ int Run(int argc, char** argv) {
   opt.train = std::max<int>(16, static_cast<int>(flags.GetInt("train", opt.train)));
   opt.test = std::max<int>(16, static_cast<int>(flags.GetInt("test", opt.test)));
   opt.steps = std::max<int>(1, static_cast<int>(flags.GetInt("steps", opt.steps)));
-  opt.lr = flags.GetDouble("lr", opt.lr);
   opt.uae_epochs = std::max<int>(1, static_cast<int>(flags.GetInt("uae-epochs", opt.uae_epochs)));
   opt.reps = std::max<int>(1, static_cast<int>(flags.GetInt("reps", opt.reps)));
   opt.seed = static_cast<uint64_t>(flags.GetInt("seed", static_cast<int64_t>(opt.seed)));
@@ -142,13 +140,13 @@ int Run(int argc, char** argv) {
 
   // ---- Stale SPN: product-only factorization, then serve. -------------------
   estimators::SpnServableConfig stale_config;
-  stale_config.spn.corr_threshold = 2.0;  // Never split: pure independence.
-  stale_config.spn.min_instances = 256;
+  stale_config.corr_threshold = 2.0;  // Never split: pure independence.
+  stale_config.min_instances = 256;
   util::Stopwatch build_timer;
   auto stale = std::make_shared<estimators::SpnServable>(table, stale_config);
   const double spn_build_seconds = build_timer.ElapsedSeconds();
-  const std::string before = stale->spn().StructureSignature();
-  if (estimators::SpnServable(table, stale_config).spn().StructureSignature() !=
+  const std::string before = stale->StructureSignature();
+  if (estimators::SpnServable(table, stale_config).StructureSignature() !=
       before) {
     std::fprintf(stderr, "SELF-CHECK FAILED: SPN build is not bit-deterministic\n");
     return 1;
@@ -161,7 +159,6 @@ int Run(int argc, char** argv) {
   auto tuned = stale->CloneServable();
   core::FineTuneSpec spec;
   spec.query_steps = opt.steps;
-  spec.learning_rate = opt.lr;
   util::Stopwatch tune_timer;
   const size_t used = tuned->FineTune(train, spec);
   const double tune_seconds = tune_timer.ElapsedSeconds();
@@ -169,7 +166,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "SELF-CHECK FAILED: fine-tune consumed no feedback\n");
     return 1;
   }
-  if (stale->spn().StructureSignature() != before) {
+  if (stale->StructureSignature() != before) {
     std::fprintf(stderr,
                  "SELF-CHECK FAILED: fine-tuning the clone moved bits in the "
                  "serving original\n");

@@ -91,9 +91,9 @@ int Run(int argc, char** argv) {
 
   // --- DeepDB over the universe ------------------------------------------------
   {
-    estimators::SpnConfig spn_cfg;
+    estimators::SpnServableConfig spn_cfg;
     spn_cfg.seed = config.seed;
-    estimators::SpnEstimator spn(uni.universe, spn_cfg);
+    estimators::SpnServable spn(uni.universe, spn_cfg);
     auto est = [&](const workload::JoinQuery& q) {
       auto weights = DownscaleWeights(uni, q);
       return spn.EstimateSelectivityWeighted(q.pred, weights) *

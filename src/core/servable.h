@@ -34,17 +34,15 @@ struct JoinQuery;  // join_workload.h; kept out of this header's include graph.
 namespace uae::core {
 
 /// How FineTune() should spend its budget (mirrors the knobs of
-/// online::AdaptationConfig; see §4.5 of the paper).
+/// online::AdaptationConfig; see §4.5 of the paper). The step size is not
+/// part of it: each backend keeps its own (the UAE's optimizer schedule, the
+/// SPN's fixed multiplicative rate).
 struct FineTuneSpec {
   /// Supervised DPS steps on the feedback workload (UAE-Q refinement).
   int query_steps = 80;
   /// When > 0, hybrid L_data + lambda * L_query epochs instead — slower but
   /// anchored to the data distribution (less forgetting).
   int hybrid_epochs = 0;
-  /// Step size for backends with an explicit fine-tune learning rate (the
-  /// SPN's multiplicative update). 0 means "use the model's default";
-  /// gradient backends with their own optimizer schedule (UAE) ignore it.
-  double learning_rate = 0.0;
 };
 
 class ServableModel {

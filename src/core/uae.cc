@@ -5,7 +5,6 @@
 
 #include "core/wavefront.h"
 #include "nn/serialize.h"
-#include "util/logging.h"
 #include "util/mathutil.h"
 #include "util/stopwatch.h"
 
@@ -138,6 +137,14 @@ double Uae::StepLoss(const nn::Tensor& loss) {
   return value;
 }
 
+std::vector<size_t> Uae::DrawRows(size_t first, size_t n, size_t count) {
+  std::vector<size_t> rows(count);
+  for (auto& r : rows) {
+    r = first + static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(n) - 1));
+  }
+  return rows;
+}
+
 nn::Tensor Uae::BuildDataLoss(const std::vector<size_t>& rows) {
   const int n_vc = schema_.num_virtual();
   std::vector<std::vector<int32_t>> in_codes(static_cast<size_t>(n_vc));
@@ -171,13 +178,42 @@ nn::Tensor Uae::BuildDataLoss(const std::vector<size_t>& rows) {
   return model_->DataLoss(in_codes, tgt_codes);
 }
 
-nn::Tensor Uae::BuildQueryLoss(const std::vector<const QueryTargets*>& targets,
-                               const std::vector<double>& sels) {
+QueryTargets Uae::TargetsFor(const workload::Query& query) const {
+  return BuildTargets(query, *table_, schema_);
+}
+
+QueryTargets Uae::TargetsFor(const workload::JoinQuery& query) const {
+  UAE_CHECK(universe_ != nullptr) << "join workload on a single-table estimator";
+  return BuildJoinTargets(query, *universe_, schema_);
+}
+
+template <typename LabeledWorkload>
+Uae::CompiledWorkload Uae::Compile(const LabeledWorkload& workload) const {
+  CompiledWorkload out;
+  out.targets.reserve(workload.size());
+  out.sels.reserve(workload.size());
+  for (const auto& lq : workload) {
+    out.targets.push_back(TargetsFor(lq.query));
+    out.sels.push_back(lq.card / static_cast<double>(num_rows_));
+  }
+  return out;
+}
+
+nn::Tensor Uae::QueryBatchLoss(const CompiledWorkload& w) {
+  std::vector<const QueryTargets*> batch;
+  std::vector<double> batch_sels;
+  int qb = std::min<int>(config_.query_batch, static_cast<int>(w.targets.size()));
+  for (int i = 0; i < qb; ++i) {
+    size_t pick = static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(w.targets.size()) - 1));
+    batch.push_back(&w.targets[pick]);
+    batch_sels.push_back(w.sels[pick]);
+  }
   DpsConfig dc;
   dc.samples = config_.dps_samples;
   dc.tau = config_.tau;
   dc.sel_floor = 1.f / static_cast<float>(std::max<size_t>(num_rows_, 1));
-  return DpsQueryLoss(*model_, targets, sels, dc, &rng_);
+  return DpsQueryLoss(*model_, batch, batch_sels, dc, &rng_);
 }
 
 void Uae::TrainDataEpochs(int epochs, const TrainCallback& cb) {
@@ -188,48 +224,20 @@ void Uae::TrainDataEpochs(int epochs, const TrainCallback& cb) {
     util::Stopwatch timer;
     double total = 0.0;
     for (size_t s = 0; s < steps; ++s) {
-      std::vector<size_t> rows(static_cast<size_t>(config_.data_batch));
-      for (auto& r : rows) {
-        r = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(num_rows_) - 1));
-      }
-      total += StepLoss(BuildDataLoss(rows));
+      total += StepLoss(BuildDataLoss(
+          DrawRows(0, num_rows_, static_cast<size_t>(config_.data_batch))));
     }
     if (cb) cb({e, total / static_cast<double>(steps), 0.0, timer.ElapsedSeconds()});
   }
 }
 
-std::vector<QueryTargets> Uae::CompileTargets(const workload::Workload& w) const {
-  std::vector<QueryTargets> out;
-  out.reserve(w.size());
-  for (const auto& lq : w) out.push_back(BuildTargets(lq.query, *table_, schema_));
-  return out;
-}
-
-std::vector<QueryTargets> Uae::CompileTargets(const workload::JoinWorkload& w) const {
-  UAE_CHECK(universe_ != nullptr) << "join workload on a single-table estimator";
-  std::vector<QueryTargets> out;
-  out.reserve(w.size());
-  for (const auto& lq : w) out.push_back(BuildJoinTargets(lq.query, *universe_, schema_));
-  return out;
-}
-
-void Uae::QueryLoop(const std::vector<QueryTargets>& targets,
-                    const std::vector<double>& sels, int steps,
+void Uae::QueryLoop(const CompiledWorkload& w, int steps,
                     const TrainCallback& cb) {
-  UAE_CHECK(!targets.empty());
+  UAE_CHECK(!w.targets.empty());
   util::Stopwatch timer;
   double total = 0.0;
   for (int s = 0; s < steps; ++s) {
-    std::vector<const QueryTargets*> batch;
-    std::vector<double> batch_sels;
-    int qb = std::min<int>(config_.query_batch, static_cast<int>(targets.size()));
-    for (int i = 0; i < qb; ++i) {
-      size_t pick = static_cast<size_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(targets.size()) - 1));
-      batch.push_back(&targets[pick]);
-      batch_sels.push_back(sels[pick]);
-    }
-    total += StepLoss(BuildQueryLoss(batch, batch_sels));
+    total += StepLoss(QueryBatchLoss(w));
     if (cb && (s + 1) % 25 == 0) {
       cb({s + 1, 0.0, total / (s + 1), timer.ElapsedSeconds()});
     }
@@ -238,28 +246,15 @@ void Uae::QueryLoop(const std::vector<QueryTargets>& targets,
 
 void Uae::TrainQuerySteps(const workload::Workload& workload, int steps,
                           const TrainCallback& cb) {
-  std::vector<QueryTargets> targets = CompileTargets(workload);
-  std::vector<double> sels;
-  sels.reserve(workload.size());
-  for (const auto& lq : workload) {
-    sels.push_back(lq.card / static_cast<double>(num_rows_));
-  }
-  QueryLoop(targets, sels, steps, cb);
+  QueryLoop(Compile(workload), steps, cb);
 }
 
 void Uae::TrainQuerySteps(const workload::JoinWorkload& workload, int steps,
                           const TrainCallback& cb) {
-  std::vector<QueryTargets> targets = CompileTargets(workload);
-  std::vector<double> sels;
-  sels.reserve(workload.size());
-  for (const auto& lq : workload) {
-    sels.push_back(lq.card / static_cast<double>(num_rows_));
-  }
-  QueryLoop(targets, sels, steps, cb);
+  QueryLoop(Compile(workload), steps, cb);
 }
 
-void Uae::HybridLoop(const std::vector<QueryTargets>& targets,
-                     const std::vector<double>& sels, int epochs,
+void Uae::HybridLoop(const CompiledWorkload& w, int epochs,
                      const TrainCallback& cb) {
   const size_t steps =
       (num_rows_ + static_cast<size_t>(config_.data_batch) - 1) /
@@ -269,22 +264,9 @@ void Uae::HybridLoop(const std::vector<QueryTargets>& targets,
     double d_total = 0.0, q_total = 0.0;
     for (size_t s = 0; s < steps; ++s) {
       // Alg. 3 lines 3-7: one random data batch + one random query batch.
-      std::vector<size_t> rows(static_cast<size_t>(config_.data_batch));
-      for (auto& r : rows) {
-        r = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(num_rows_) - 1));
-      }
-      nn::Tensor data_loss = BuildDataLoss(rows);
-
-      std::vector<const QueryTargets*> batch;
-      std::vector<double> batch_sels;
-      int qb = std::min<int>(config_.query_batch, static_cast<int>(targets.size()));
-      for (int i = 0; i < qb; ++i) {
-        size_t pick = static_cast<size_t>(
-            rng_.UniformInt(0, static_cast<int64_t>(targets.size()) - 1));
-        batch.push_back(&targets[pick]);
-        batch_sels.push_back(sels[pick]);
-      }
-      nn::Tensor query_loss = BuildQueryLoss(batch, batch_sels);
+      nn::Tensor data_loss = BuildDataLoss(
+          DrawRows(0, num_rows_, static_cast<size_t>(config_.data_batch)));
+      nn::Tensor query_loss = QueryBatchLoss(w);
 
       d_total += data_loss->value().at(0, 0);
       q_total += query_loss->value().at(0, 0);
@@ -300,24 +282,12 @@ void Uae::HybridLoop(const std::vector<QueryTargets>& targets,
 
 void Uae::TrainHybridEpochs(const workload::Workload& workload, int epochs,
                             const TrainCallback& cb) {
-  std::vector<QueryTargets> targets = CompileTargets(workload);
-  std::vector<double> sels;
-  sels.reserve(workload.size());
-  for (const auto& lq : workload) {
-    sels.push_back(lq.card / static_cast<double>(num_rows_));
-  }
-  HybridLoop(targets, sels, epochs, cb);
+  HybridLoop(Compile(workload), epochs, cb);
 }
 
 void Uae::TrainHybridEpochs(const workload::JoinWorkload& workload, int epochs,
                             const TrainCallback& cb) {
-  std::vector<QueryTargets> targets = CompileTargets(workload);
-  std::vector<double> sels;
-  sels.reserve(workload.size());
-  for (const auto& lq : workload) {
-    sels.push_back(lq.card / static_cast<double>(num_rows_));
-  }
-  HybridLoop(targets, sels, epochs, cb);
+  HybridLoop(Compile(workload), epochs, cb);
 }
 
 void Uae::IngestDataRows(const data::Table& delta, int epochs) {
@@ -345,15 +315,11 @@ void Uae::IngestDataRows(const data::Table& delta, int epochs) {
   const size_t steps = std::max<size_t>(
       1, (n_new + static_cast<size_t>(config_.data_batch) - 1) /
              static_cast<size_t>(config_.data_batch));
+  const size_t batch =
+      std::min<size_t>(static_cast<size_t>(config_.data_batch), n_new);
   for (int e = 0; e < epochs; ++e) {
     for (size_t s = 0; s < steps; ++s) {
-      std::vector<size_t> rows(static_cast<size_t>(
-          std::min<size_t>(static_cast<size_t>(config_.data_batch), n_new)));
-      for (auto& r : rows) {
-        r = first_new + static_cast<size_t>(
-                            rng_.UniformInt(0, static_cast<int64_t>(n_new) - 1));
-      }
-      StepLoss(BuildDataLoss(rows));
+      StepLoss(BuildDataLoss(DrawRows(first_new, n_new, batch)));
     }
   }
 }

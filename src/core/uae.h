@@ -189,17 +189,24 @@ class Uae : public ServableModel {
   void InvalidateFrozen();
   /// One optimizer step for the given loss graph.
   double StepLoss(const nn::Tensor& loss);
+  /// `count` training-row ids drawn uniformly from [first, first + n).
+  std::vector<size_t> DrawRows(size_t first, size_t n, size_t count);
   nn::Tensor BuildDataLoss(const std::vector<size_t>& rows);
-  nn::Tensor BuildQueryLoss(const std::vector<const QueryTargets*>& targets,
-                            const std::vector<double>& sels);
-  /// Compiles (and caches nothing — cheap) targets for a workload.
-  std::vector<QueryTargets> CompileTargets(const workload::Workload& w) const;
-  std::vector<QueryTargets> CompileTargets(const workload::JoinWorkload& w) const;
-  void HybridLoop(const std::vector<QueryTargets>& targets,
-                  const std::vector<double>& sels, int epochs,
-                  const TrainCallback& cb);
-  void QueryLoop(const std::vector<QueryTargets>& targets,
-                 const std::vector<double>& sels, int steps, const TrainCallback& cb);
+  /// A labeled workload compiled for DPS: each query's targets and its label
+  /// as a selectivity (card over num_rows_).
+  struct CompiledWorkload {
+    std::vector<QueryTargets> targets;
+    std::vector<double> sels;
+  };
+  QueryTargets TargetsFor(const workload::Query& query) const;
+  QueryTargets TargetsFor(const workload::JoinQuery& query) const;
+  /// Compiles a Workload or a JoinWorkload (cheap; nothing is cached).
+  template <typename LabeledWorkload>
+  CompiledWorkload Compile(const LabeledWorkload& workload) const;
+  /// DPS loss of one query batch drawn uniformly from `w`.
+  nn::Tensor QueryBatchLoss(const CompiledWorkload& w);
+  void QueryLoop(const CompiledWorkload& w, int steps, const TrainCallback& cb);
+  void HybridLoop(const CompiledWorkload& w, int epochs, const TrainCallback& cb);
 
   const data::Table* table_ = nullptr;
   const data::JoinUniverse* universe_ = nullptr;

@@ -21,7 +21,6 @@
 #include "core/uae.h"
 #include "data/imdb_star.h"
 #include "estimators/histogram.h"
-#include "estimators/spn.h"
 #include "optimizer/subplan_memo.h"
 #include "serve/service.h"
 #include "workload/join_workload.h"

@@ -156,8 +156,10 @@ util::Status SubplanMemo::Load(const std::string& path) {
   }
   uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!in.good()) return util::Status::IoError("truncated memo: " + path);
+  // The count is untrusted, so nothing is reserved from it: a count larger
+  // than the file holds ends at the first short read below.
   std::unordered_map<uint64_t, SubplanMemoEntry> loaded;
-  loaded.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     SubplanMemoEntry e;
     uint64_t bits = 0;

@@ -25,8 +25,9 @@
 // training RNG stream, same estimates).
 //
 // The shard tables are materialized once and shared (shared_ptr) by every
-// clone, so backends that keep a table pointer stay valid across the
-// clone → fine-tune → publish cycle.
+// clone, so a backend that keeps a table pointer stays valid across the
+// clone → fine-tune → publish cycle. Of the shipped backends only the UAE
+// keeps one; the SPN reads its shard table only while it builds.
 #pragma once
 
 #include <functional>

@@ -6,7 +6,7 @@
 #include "data/synthetic.h"
 #include "estimators/lr.h"
 #include "estimators/mscn.h"
-#include "estimators/spn.h"
+#include "estimators/spn_servable.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -128,8 +128,8 @@ TEST(SpnTest, ProductSplitOnIndependentColumns) {
   cols.push_back(data::Column::FromCodes("a", std::move(a), 10));
   cols.push_back(data::Column::FromCodes("b", std::move(b), 10));
   data::Table t("indep", std::move(cols));
-  SpnConfig sc;
-  SpnEstimator spn(t, sc);
+  SpnServableConfig sc;
+  SpnServable spn(t, sc);
   EXPECT_GE(spn.num_product_nodes(), 1);
   workload::Query q(2);
   q.AddPredicate({0, workload::Op::kLe, 4, {}}, 10);
@@ -140,10 +140,10 @@ TEST(SpnTest, ProductSplitOnIndependentColumns) {
 
 TEST(SpnTest, SumSplitsCaptureCorrelation) {
   data::Table t = data::TinyCorrelated(8000, 21);
-  SpnConfig sc;
+  SpnServableConfig sc;
   sc.min_instances = 256;
   sc.corr_threshold = 0.05;  // Fine-grained: force conditioning.
-  SpnEstimator spn(t, sc);
+  SpnServable spn(t, sc);
   EXPECT_GE(spn.num_sum_nodes(), 1);
   workload::GeneratorConfig gc;
   gc.min_filters = 1;
@@ -164,8 +164,8 @@ TEST(SpnTest, WeightedExpectationAtLeaves) {
   std::vector<data::Column> cols;
   cols.push_back(data::Column::FromCodes("fanout", std::move(f), 2));
   data::Table t("w", std::move(cols));
-  SpnConfig sc;
-  SpnEstimator spn(t, sc);
+  SpnServableConfig sc;
+  SpnServable spn(t, sc);
   workload::Query q(1);
   std::unordered_map<int, std::vector<float>> weights;
   weights[0] = {1.f, 0.5f};
@@ -175,8 +175,8 @@ TEST(SpnTest, WeightedExpectationAtLeaves) {
 
 TEST(SpnTest, SizeIsReported) {
   data::Table t = data::TinyCorrelated(2000, 25);
-  SpnConfig sc;
-  SpnEstimator spn(t, sc);
+  SpnServableConfig sc;
+  SpnServable spn(t, sc);
   EXPECT_GT(spn.SizeBytes(), 100u);
   EXPECT_GE(spn.num_leaves(), t.num_cols());
 }

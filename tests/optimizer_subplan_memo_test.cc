@@ -182,6 +182,42 @@ TEST(SubplanMemoTest, LoadRejectsGarbage) {
   EXPECT_FALSE(memo.Load(TempPath("memo_missing.bin")).ok());
 }
 
+// A corrupt header whose entry count claims 2^60 entries, with none behind
+// it: Load used to reserve that many map slots first and threw bad_alloc.
+TEST(SubplanMemoTest, LoadRejectsAnOversizedEntryCount) {
+  const std::string path = TempPath("memo_oversized.bin");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const uint32_t version = 1;
+    const uint64_t count = uint64_t{1} << 60;
+    out.write("UAEM", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  SubplanMemo memo;
+  memo.Observe(7, 100.0);
+  util::Status status = util::Status::Ok();
+  EXPECT_NO_THROW(status = memo.Load(path));
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(memo.Size(), 1u);  // A failed load keeps the old entries.
+}
+
+// A file cut right after its version: Load used to read the missing count as
+// 0 and replace the memo with an empty one.
+TEST(SubplanMemoTest, LoadRejectsAHeaderCutBeforeItsCount) {
+  const std::string path = TempPath("memo_no_count.bin");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const uint32_t version = 1;
+    out.write("UAEM", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  SubplanMemo memo;
+  memo.Observe(7, 100.0);
+  EXPECT_FALSE(memo.Load(path).ok());
+  EXPECT_EQ(memo.Size(), 1u);
+}
+
 TEST(SubplanFeedbackTest, ExecutedPlanRefreshesMemoWithTrueCards) {
   data::JoinUniverse uni = SmallUniverse();
   workload::JoinGeneratorConfig gc;

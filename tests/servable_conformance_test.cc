@@ -2,12 +2,14 @@
 // implementation must pass — core::Uae, shard::ShardedUae, the SPN servable,
 // router::HybridRouter, ingest::DeltaAwareModel and the nine §5 baselines.
 //
-// Five checks, all bitwise where they compare estimates:
+// Six checks, all bitwise where they compare estimates:
 //   * EstimateCards equals EstimateCard on the whole batch (per-query calls
 //     in reverse order), on both halves, on an empty and a one-query batch;
 //   * a clone answers like its source and reports the same metadata;
 //   * fine-tuning a clone leaves the source unchanged, and a clone whose
 //     FineTune returned 0 is unchanged too;
+//   * a fine-tune depends only on (source, workload, spec): two clones
+//     fine-tuned alike return the same count and answer alike;
 //   * every estimate, an all-wildcard query's included, is finite and >= 0;
 //   * an all-wildcard query comes out within 1% of num_rows().
 //
@@ -79,7 +81,7 @@ struct Zoo {
     models.emplace_back("ShardedUae", sharded);
 
     estimators::SpnServableConfig spn;
-    spn.spn.seed = 5;
+    spn.seed = 5;
     models.emplace_back("SpnServable",
                         std::make_shared<estimators::SpnServable>(table, spn));
 
@@ -203,6 +205,19 @@ TEST_P(ServableConformanceTest, FineTuningACloneLeavesTheSourceUnchanged) {
   ExpectSameBits(m.EstimateCards(zoo().queries), before);
   // 0 means "the clone is still bit-identical to its source".
   if (used == 0) ExpectSameBits(clone->EstimateCards(zoo().queries), before);
+}
+
+TEST_P(ServableConformanceTest, FineTuneDependsOnlyOnSourceWorkloadAndSpec) {
+  const core::ServableModel& m = model();
+  const std::shared_ptr<core::ServableModel> first = m.CloneServable();
+  const std::shared_ptr<core::ServableModel> second = m.CloneServable();
+  core::FineTuneSpec spec;
+  spec.query_steps = 8;
+  const size_t used_first = first->FineTune(zoo().train, spec);
+  const size_t used_second = second->FineTune(zoo().train, spec);
+  EXPECT_EQ(used_second, used_first);
+  ExpectSameBits(second->EstimateCards(zoo().queries),
+                 first->EstimateCards(zoo().queries));
 }
 
 TEST_P(ServableConformanceTest, EstimatesAreFiniteAndNonNegative) {

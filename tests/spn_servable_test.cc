@@ -1,15 +1,16 @@
-// SPN backend: the three spn.cc bugfix regressions (overflow-dictionary
+// estimators::SpnServable: three bugfix regressions (overflow-dictionary
 // leaf sizing, deterministic product-split child order, col_weights length
-// validation) plus the SPN's own serving checks for
-// estimators::SpnServable — clone bitwise-independence, fine-tune
-// determinism across thread counts, the adaptation guard refusing a worse
-// fine-tuned SPN, the router promoting the SPN for a query class where its
-// shadow q-error wins, hot-swap under concurrent clients (run under TSan via
-// the unit-spn label), and per-shard SPN instantiation through
+// validation) plus the SPN's serving checks — clone bitwise-independence,
+// fine-tune determinism across thread counts, fine-tunes that ignore rows
+// appended to the table after construction, the adaptation guard refusing a
+// worse fine-tuned SPN, the router promoting the SPN for a query class where
+// its shadow q-error wins, hot-swap under concurrent clients (run under TSan
+// via the unit-spn label), and per-shard SPN instantiation through
 // shard::ShardedServable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <thread>
@@ -19,7 +20,6 @@
 #include "data/synthetic.h"
 #include "data/table.h"
 #include "estimators/histogram.h"
-#include "estimators/spn.h"
 #include "estimators/spn_servable.h"
 #include "online/controller.h"
 #include "online/feedback.h"
@@ -35,8 +35,6 @@
 namespace uae {
 namespace {
 
-using estimators::SpnConfig;
-using estimators::SpnEstimator;
 using estimators::SpnServable;
 using estimators::SpnServableConfig;
 
@@ -94,9 +92,9 @@ TEST(SpnBugfixTest, OverflowDictionaryCodesStayInBounds) {
   }
   ASSERT_GT(t.column(0).total_domain(), frozen);
 
-  SpnConfig sc;
+  SpnServableConfig sc;
   sc.min_instances = 128;
-  SpnEstimator spn(t, sc);  // Pre-fix: heap-buffer-overflow here.
+  SpnServable spn(t, sc);  // Pre-fix: heap-buffer-overflow here.
 
   // The overflow rows are real probability mass: an equality query on the
   // first overflow code must see its appended rows.
@@ -136,8 +134,8 @@ TEST(SpnBugfixTest, ProductChildrenOrderedBySmallestMemberColumn) {
                                            10));
   }
   data::Table t("indep5", std::move(cols));
-  SpnConfig sc;
-  SpnEstimator spn(t, sc);
+  SpnServableConfig sc;
+  SpnServable spn(t, sc);
   ASSERT_GE(spn.num_product_nodes(), 1);
 
   const std::vector<int> expected = {0, 1, 2, 3, 4};
@@ -145,7 +143,7 @@ TEST(SpnBugfixTest, ProductChildrenOrderedBySmallestMemberColumn) {
 
   // Build-twice bitwise: same (table, config) => identical structure and
   // parameters, pinned at the bit level.
-  SpnEstimator again(t, sc);
+  SpnServable again(t, sc);
   EXPECT_EQ(spn.StructureSignature(), again.StructureSignature());
 }
 
@@ -158,8 +156,8 @@ TEST(SpnBugfixTest, ShortColWeightsVectorIsRejected) {
   std::vector<data::Column> cols;
   cols.push_back(data::Column::FromCodes("fanout", std::move(f), 2));
   data::Table t("w", std::move(cols));
-  SpnConfig sc;
-  SpnEstimator spn(t, sc);
+  SpnServableConfig sc;
+  SpnServable spn(t, sc);
   workload::Query q(1);
   std::unordered_map<int, std::vector<float>> short_weights;
   short_weights[0] = {1.f};  // Leaf histogram has 2 bins.
@@ -207,16 +205,16 @@ struct SpnScenario {
   /// headroom for query-driven fine-tuning on the correlated band.
   SpnServableConfig StaleConfig() const {
     SpnServableConfig config;
-    config.spn.corr_threshold = 2.0;
-    config.spn.min_instances = 256;
+    config.corr_threshold = 2.0;
+    config.min_instances = 256;
     return config;
   }
 
   /// A fine-grained SPN (conditioning sum splits): accurate out of the box.
   SpnServableConfig AccurateConfig() const {
     SpnServableConfig config;
-    config.spn.corr_threshold = 0.05;
-    config.spn.min_instances = 256;
+    config.corr_threshold = 0.05;
+    config.min_instances = 256;
     return config;
   }
 };
@@ -227,7 +225,7 @@ SpnScenario& Shared() {
 }
 
 std::string Signature(const core::ServableModel& model) {
-  return dynamic_cast<const SpnServable&>(model).spn().StructureSignature();
+  return dynamic_cast<const SpnServable&>(model).StructureSignature();
 }
 
 TEST(SpnServableTest, FineTuneImprovesHeldOutAccuracy) {
@@ -293,6 +291,42 @@ TEST(SpnServableTest, FineTuneIsDeterministicAcrossThreadCounts) {
   const std::vector<double> batched = inline_clone->EstimateCards(queries);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_DOUBLE_EQ(batched[i], inline_clone->EstimateCard(queries[i]));
+  }
+}
+
+// Fine-tune labels are divided by the construction-time row count that
+// estimates scale by. They used to be divided by the table's live count, so
+// a clone fine-tuned after rows were appended learned different parameters
+// than one fine-tuned before, from the same source and the same feedback.
+TEST(SpnServableTest, FineTuneIgnoresRowsAppendedAfterConstruction) {
+  data::Table table = MakeCorrelatedPair(4000, 23);
+  const workload::Workload train = BandWorkload(table, 32, 55);
+  SpnServableConfig config;
+  config.corr_threshold = 2.0;
+  config.min_instances = 256;
+  const SpnServable source(table, config);
+  auto first = source.CloneServable();
+  auto second = source.CloneServable();
+  core::FineTuneSpec spec;
+  spec.query_steps = 128;
+  const size_t used_first = first->FineTune(train, spec);
+  ASSERT_GT(used_first, 0u);
+
+  std::vector<int32_t> codes(2);
+  for (int i = 0; i < 500; ++i) {
+    codes[0] = i % 64;
+    codes[1] = (i * 7) % 64;
+    ASSERT_TRUE(table.AppendDeltaRowCodes(codes).ok());
+  }
+  ASSERT_EQ(table.num_rows(), 4500u);
+  EXPECT_EQ(second->FineTune(train, spec), used_first);
+
+  EXPECT_EQ(Signature(*second), Signature(*first));
+  EXPECT_EQ(second->num_rows(), 4000u);
+  for (size_t i = 0; i < train.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(second->EstimateCard(train[i].query)),
+              std::bit_cast<uint64_t>(first->EstimateCard(train[i].query)))
+        << "query " << i;
   }
 }
 
@@ -486,13 +520,13 @@ TEST(SpnShardingTest, PerShardSpnsPruneRouteAndStayIsolated) {
   // Product-only shard SPNs: the two-predicate pinned feedback below is then
   // guaranteed to carry a truth/estimate gap, so fine-tuning must move bits.
   SpnServableConfig spn_config;
-  spn_config.spn.corr_threshold = 2.0;
-  spn_config.spn.min_instances = 128;
+  spn_config.corr_threshold = 2.0;
+  spn_config.min_instances = 128;
 
   auto factory = [&](const data::Table& shard_table, int /*shard_id*/,
                      uint64_t shard_seed) -> std::shared_ptr<core::ServableModel> {
     SpnServableConfig sc = spn_config;
-    sc.spn.seed = shard_seed;
+    sc.seed = shard_seed;
     return std::make_shared<SpnServable>(shard_table, sc);
   };
   shard::ShardedServable sharded(s.table, config, factory);
