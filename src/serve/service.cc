@@ -101,9 +101,9 @@ std::future<ServeResult> EstimationService::Submit(EstimateRequest request) {
     }
   }
 
-  // A global-pool worker must never block on the dispatcher: the dispatcher
-  // fans batches across that same pool, so parking workers on service futures
-  // could leave no one to run the batch. Answer on the calling thread.
+  // A global-pool worker is not parked on the dispatcher: the dispatcher
+  // fans batches across that same pool, and a parked worker is one thread
+  // fewer to run them. Answer on the calling thread.
   if (util::GlobalPool().InThisPool()) {
     inline_requests_.fetch_add(1, std::memory_order_relaxed);
     return ReadyFuture(EstimateInline(request));

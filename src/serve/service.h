@@ -17,10 +17,14 @@
 // result cache keys on (fingerprint, generation) so stale hits are
 // impossible by construction.
 //
-// Deadlock note: a request issued *from a global-pool worker* (e.g. an
-// estimator callback inside ParallelFor) is answered inline against the
-// current snapshot instead of being queued — if every pool worker blocked on
-// the dispatcher, the dispatcher's own ParallelFor fan-out could never run.
+// Pool-worker requests: a request issued *from a global-pool worker* (e.g.
+// an estimator callback inside ParallelFor) is answered inline against the
+// current snapshot instead of being queued. Deadlock freedom does not rest
+// on this: the dispatcher's own ParallelFor claims chunks itself, so it
+// finishes even if every pool worker is parked. The inline path is there
+// because a parked worker is a lost pool thread: queued, it would idle
+// through the batch deadline while the dispatcher ran its batch with one
+// worker fewer. perfbench's serve.inline_frac counts these answers.
 #pragma once
 
 #include <array>

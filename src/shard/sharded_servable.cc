@@ -21,13 +21,20 @@ ShardedServable::ShardedServable(const data::Table& table,
   partitioner_ = std::move(partitioner);
   shard_tables_ = std::move(tables);
 
-  const int n = partitioner_->num_shards();
-  models_.reserve(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    models_.push_back(factory((*shard_tables_)[static_cast<size_t>(s)], s,
-                              MixShardSeed(config_.base_seed, s)));
-    UAE_CHECK(models_.back() != nullptr);
-  }
+  // Shards build side by side. Each factory call sees only its own shard
+  // table and seed, so no model depends on which thread built it.
+  models_.resize(static_cast<size_t>(partitioner_->num_shards()));
+  util::ParallelFor(
+      0, models_.size(),
+      [&](size_t lo, size_t hi) {
+        for (size_t s = lo; s < hi; ++s) {
+          const int id = static_cast<int>(s);
+          models_[s] = factory((*shard_tables_)[s], id,
+                               MixShardSeed(config_.base_seed, id));
+        }
+      },
+      /*min_parallel_size=*/1);
+  for (const auto& m : models_) UAE_CHECK(m != nullptr);
 }
 
 ShardedServable::ShardedServable(const ShardedServable& other)
@@ -61,8 +68,9 @@ double ShardedServable::EstimateCard(const workload::Query& query) const {
 
 std::vector<double> ShardedServable::EstimateCards(
     std::span<const workload::Query> queries) const {
-  // Each shard answers one batched call; accumulation order matches the
-  // pruned per-query sum, so batching cannot change bits.
+  // Each shard with work answers one batched call, the shards side by side.
+  // Their answers are added afterwards in ascending shard order, the pruned
+  // per-query sum's order, so neither batching nor threads change bits.
   const size_t n_q = queries.size();
   const size_t n_s = models_.size();
   std::vector<double> cards(n_q, 0.0);
@@ -77,15 +85,27 @@ std::vector<double> ShardedServable::EstimateCards(
       for (size_t s = 0; s < n_s; ++s) per_shard[s].push_back(i);
     }
   }
-  std::vector<workload::Query> batch;
+  std::vector<size_t> busy;  // Shards with work, ascending.
   for (size_t s = 0; s < n_s; ++s) {
+    if (!per_shard[s].empty()) busy.push_back(s);
+  }
+  std::vector<std::vector<double>> ests(n_s);
+  util::ParallelFor(
+      0, busy.size(),
+      [&](size_t lo, size_t hi) {
+        std::vector<workload::Query> batch;
+        for (size_t k = lo; k < hi; ++k) {
+          const size_t s = busy[k];
+          batch.clear();
+          batch.reserve(per_shard[s].size());
+          for (size_t i : per_shard[s]) batch.push_back(queries[i]);
+          ests[s] = models_[s]->EstimateCards(batch);
+        }
+      },
+      /*min_parallel_size=*/1);
+  for (size_t s : busy) {
     const std::vector<size_t>& idx = per_shard[s];
-    if (idx.empty()) continue;
-    batch.clear();
-    batch.reserve(idx.size());
-    for (size_t i : idx) batch.push_back(queries[i]);
-    std::vector<double> ests = models_[s]->EstimateCards(batch);
-    for (size_t j = 0; j < idx.size(); ++j) cards[idx[j]] += ests[j];
+    for (size_t j = 0; j < idx.size(); ++j) cards[idx[j]] += ests[s][j];
   }
   return cards;
 }

@@ -5,7 +5,8 @@
 // per-shard SPNs use the same type with an SPN factory):
 //
 //  * EstimateCards answers a query as the SUM of per-shard cardinality
-//    estimates — exact decomposition, since shards partition the rows.
+//    estimates — exact decomposition, since shards partition the rows. The
+//    shards with work answer side by side on the global pool.
 //  * Pruned fan-out: when the query constrains the partition column, shards
 //    whose code set is provably disjoint are skipped entirely (they
 //    contribute zero true rows), so partition-targeted queries touch O(1)
@@ -22,7 +23,9 @@
 // Determinism: shard k's model seed is MixShardSeed(base seed, k); shard 0
 // keeps the base seed, so a one-shard deployment is bit-identical to the
 // monolithic model it replaces (same table rows, same dictionaries, same
-// training RNG stream, same estimates).
+// training RNG stream, same estimates). Shards build, answer and fine-tune
+// in parallel, but per-shard answers are always added in ascending shard
+// order, so no result depends on the thread count.
 //
 // The shard tables are materialized once and shared (shared_ptr) by every
 // clone, so a backend that keeps a table pointer stays valid across the
@@ -44,7 +47,9 @@ namespace uae::shard {
 /// Builds the model for one shard. `shard_table` outlives the returned model
 /// and all of its clones (owned by the ShardedServable's shared table
 /// vector); `shard_seed` is MixShardSeed(base, shard_id), so shard 0 keeps
-/// the base seed.
+/// the base seed. The constructor calls it concurrently for different
+/// shards, from the constructing thread and global-pool workers, so any
+/// state it shares across calls must be safe to use from several threads.
 using ServableFactory = std::function<std::shared_ptr<core::ServableModel>(
     const data::Table& shard_table, int shard_id, uint64_t shard_seed)>;
 
@@ -56,18 +61,22 @@ struct ShardedServableConfig {
 
 class ShardedServable : public core::ServableModel {
  public:
-  /// Partitions `table` and builds one model per shard with `factory`. The
-  /// table is only read during construction: shard tables copy the codes and
-  /// share the dictionaries, so the source may be destroyed afterwards.
+  /// Partitions `table` and builds one model per shard with `factory`, all
+  /// shards in parallel (see ServableFactory). The table is only read during
+  /// construction: shard tables copy the codes and share the dictionaries,
+  /// so the source may be destroyed afterwards.
   ShardedServable(const data::Table& table, const ShardedServableConfig& config,
                   const ServableFactory& factory);
 
   /// Pruned fan-out sum: skipped shards provably contribute zero true rows.
+  /// Asks the candidate shards one after another on the calling thread: the
+  /// serial reference the batched path is checked against.
   double EstimateCard(const workload::Query& query) const override;
-  /// Groups queries per shard so each shard model answers one batched call.
-  /// Shards accumulate in ascending order — the summation order of
-  /// EstimateCard — so element i is bit-identical to EstimateCard(queries[i])
-  /// for any batch size or thread count.
+  /// Groups queries per shard so each shard model answers one batched call,
+  /// the shards that have work running concurrently (util::ParallelFor).
+  /// Their answers are added in ascending shard order — the summation order
+  /// of EstimateCard — so element i is bit-identical to
+  /// EstimateCard(queries[i]) for any batch size or thread count.
   std::vector<double> EstimateCards(
       std::span<const workload::Query> queries) const override;
   size_t SizeBytes() const override;

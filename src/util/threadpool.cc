@@ -1,11 +1,48 @@
 #include "util/threadpool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace uae::util {
 
 namespace {
 thread_local const ThreadPool* t_worker_pool = nullptr;
+
+/// One ParallelFor call's chunks, claimed by the caller and its pool helpers.
+/// Helpers own it jointly with the caller, so a helper that starts after the
+/// call returned still reads live memory: it finds `next` past the last
+/// chunk and never touches `body`, which lives in the caller's frame.
+struct ChunkClaims {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t chunk = 0;
+  size_t chunks = 0;
+  const std::function<void(size_t, size_t)>* body = nullptr;
+  std::atomic<size_t> next{0};
+
+  std::mutex mu;                // Guards finished and error.
+  std::condition_variable done_cv;
+  size_t finished = 0;
+  std::exception_ptr error;     // The first chunk's exception, if any.
+
+  /// Claims and runs chunks until none is left.
+  void Run() {
+    for (size_t c = next.fetch_add(1); c < chunks; c = next.fetch_add(1)) {
+      const size_t lo = begin + c * chunk;
+      std::exception_ptr thrown;
+      try {
+        (*body)(lo, std::min(end, lo + chunk));
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (thrown && !error) error = std::move(thrown);
+      if (++finished == chunks) done_cv.notify_all();
+    }
+  }
+};
 }  // namespace
 
 bool ThreadPool::InThisPool() const { return t_worker_pool == this; }
@@ -73,34 +110,27 @@ void ParallelFor(size_t begin, size_t end,
                  size_t min_parallel_size) {
   if (end <= begin) return;
   ThreadPool& pool = GlobalPool();
-  size_t n = end - begin;
-  size_t workers = pool.num_threads();
-  if (workers <= 1 || n < min_parallel_size || pool.InThisPool()) {
+  const size_t n = end - begin;
+  const size_t target =
+      std::min(pool.num_threads(), (n + min_parallel_size - 1) / min_parallel_size);
+  const size_t chunk = (n + target - 1) / target;
+  const size_t chunks = (n + chunk - 1) / chunk;  // Non-empty chunks only.
+  if (chunks <= 1) {
     body(begin, end);
     return;
   }
-  size_t chunks = std::min(workers, (n + min_parallel_size - 1) / min_parallel_size);
-  size_t chunk = (n + chunks - 1) / chunks;
-  // Per-call completion latch so concurrent ParallelFor calls do not interfere.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t pending = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t lo = begin + c * chunk;
-    size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    {
-      std::lock_guard<std::mutex> lock(done_mu);
-      ++pending;
-    }
-    pool.Submit([&, lo, hi] {
-      body(lo, hi);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return pending == 0; });
+  auto claims = std::make_shared<ChunkClaims>();
+  claims->begin = begin;
+  claims->end = end;
+  claims->chunk = chunk;
+  claims->chunks = chunks;
+  claims->body = &body;
+  for (size_t h = 1; h < chunks; ++h) pool.Submit([claims] { claims->Run(); });
+  claims->Run();
+  // Every chunk is claimed now; wait for the ones still running elsewhere.
+  std::unique_lock<std::mutex> lock(claims->mu);
+  claims->done_cv.wait(lock, [&] { return claims->finished == chunks; });
+  if (claims->error) std::rethrow_exception(claims->error);
 }
 
 }  // namespace uae::util

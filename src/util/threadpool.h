@@ -1,5 +1,6 @@
 // A small fixed-size thread pool plus a ParallelFor helper used by the GEMM
-// kernels and the exact query executor.
+// kernels, the wavefront sampler, the sharded deployment and the exact query
+// executor.
 #pragma once
 
 #include <condition_variable>
@@ -29,11 +30,10 @@ class ThreadPool {
   /// Blocks until all submitted work has finished.
   void Wait();
 
-  /// True when the calling thread is a worker of *this* pool. Nested
-  /// ParallelFor calls from a pool's own workers run inline: blocking a
-  /// worker on sub-chunks it cannot steal back would deadlock the pool.
-  /// Workers of a *different* pool (e.g. a service dispatcher) may still fan
-  /// work out here — their blocking cannot starve this pool's queue.
+  /// True when the calling thread is a worker of *this* pool. ParallelFor
+  /// does not consult it; its one use is the estimation service, which
+  /// answers a global-pool worker's request inline rather than parking the
+  /// worker on the dispatcher (serve/service.h).
   bool InThisPool() const;
 
  private:
@@ -51,8 +51,24 @@ class ThreadPool {
 /// Returns the process-wide pool (lazily constructed, sized to the machine).
 ThreadPool& GlobalPool();
 
-/// Splits [begin, end) into roughly equal chunks executed on the global pool.
-/// Runs inline when the range is small or the pool has a single thread.
+/// Splits [begin, end) into consecutive chunks of ceil(n / c) indices, where
+/// c = min(GlobalPool().num_threads(), ceil(n / min_parallel_size)), and
+/// calls `body(lo, hi)` once per chunk. The ranges depend only on the
+/// arguments and the pool size, never on which thread runs them.
+///
+///  * The caller works: it submits up to chunks - 1 pool helpers, and it and
+///    they claim chunks from one shared index until none is left. The caller
+///    then waits only for chunks a helper has already claimed, so the call
+///    makes progress even when every pool worker is busy. A single chunk
+///    runs on the caller with no pool handoff.
+///  * Nested calls fan out: a call from a pool worker (a shard's wave
+///    fan-out inside the shards' own fan-out) works like any other. It
+///    cannot deadlock, because a waiter only ever waits on running chunks.
+///  * A chunk that throws still counts as finished; the first exception is
+///    rethrown on the caller once every claimed chunk has returned.
+///
+/// A helper that starts after the call returned finds no chunk left and
+/// returns at once.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& body,
                  size_t min_parallel_size = 4096);

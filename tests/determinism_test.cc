@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/progressive.h"
@@ -109,58 +114,184 @@ TEST(DeterminismTest, BatchedEstimatesIndependentOfThreadCount) {
   }
 }
 
-TEST(DeterminismTest, ParallelForFromWorkerRunsInline) {
-  // Nested ParallelFor (e.g. the GEMM kernels inside a batched estimation
-  // worker) must not deadlock the pool; the inner call runs inline.
-  std::vector<int> out(64, 0);
+// Counts ParallelFor chunks running at once. Enter() waits, up to
+// `patience`, until a second chunk has been seen running, so a call that fans
+// out records a peak of at least 2 and one that ran its chunks one at a time
+// records 1.
+class Overlap {
+ public:
+  void Enter(std::chrono::milliseconds patience) {
+    const int now = running_.fetch_add(1) + 1;
+    int seen = peak_.load();
+    while (seen < now && !peak_.compare_exchange_weak(seen, now)) {
+    }
+    const auto deadline = std::chrono::steady_clock::now() + patience;
+    while (peak_.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    running_.fetch_sub(1);
+  }
+  int peak() const { return peak_.load(); }
+
+ private:
+  std::atomic<int> running_{0};
+  std::atomic<int> peak_{0};
+};
+
+constexpr std::chrono::milliseconds kOverlapPatience{500};
+
+TEST(DeterminismTest, ParallelForProgressesWhileEveryWorkerIsBusy) {
+  // The caller claims chunks itself, so a call whose helpers queue behind
+  // busy workers still finishes: it never waits on a chunk nobody runs.
+  util::ThreadPool& pool = util::GlobalPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t parked = 0;
+  bool open = false;
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return open; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == pool.num_threads(); });
+  }
+  std::atomic<int> cells{0};
+  std::promise<void> returned;
+  std::future<void> call = returned.get_future();
+  std::thread caller([&] {
+    util::ParallelFor(
+        0, 8,
+        [&](size_t lo, size_t hi) { cells.fetch_add(static_cast<int>(hi - lo)); },
+        /*min_parallel_size=*/1);
+    returned.set_value();
+  });
+  const bool in_time =
+      call.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  caller.join();
+  pool.Wait();
+  EXPECT_TRUE(in_time) << "ParallelFor waited on workers that were all busy";
+  EXPECT_EQ(cells.load(), 8);
+}
+
+TEST(DeterminismTest, ParallelForRunsASingleChunkOnTheCaller) {
+  // Eight indices at a grain of eight make one chunk: no pool handoff.
+  util::ThreadPool& pool = util::GlobalPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
+  const std::thread::id me = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::pair<size_t, size_t>> ranges;
   util::ParallelFor(
       0, 8,
       [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          util::ParallelFor(
-              0, 8,
-              [&](size_t jlo, size_t jhi) {
-                for (size_t j = jlo; j < jhi; ++j) out[i * 8 + j] = 1;
-              },
-              /*min_parallel_size=*/1);
-        }
+        ran_on.push_back(std::this_thread::get_id());
+        ranges.emplace_back(lo, hi);
       },
-      /*min_parallel_size=*/1);
+      /*min_parallel_size=*/8);
+  pool.Wait();
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], std::make_pair(size_t{0}, size_t{8}));
+  EXPECT_EQ(ran_on[0], me);
+}
+
+TEST(DeterminismTest, NestedParallelForFansOut) {
+  // A ParallelFor called from a pool worker (a shard's wave fan-out inside
+  // the shards' own fan-out) submits helpers like any caller, so its chunks
+  // run side by side. It cannot deadlock: a caller only ever waits on chunks
+  // that are already running. A third level, from whichever thread runs a
+  // chunk, must still write every cell.
+  util::ThreadPool& pool = util::GlobalPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
+  Overlap overlap;
+  std::vector<int> out(32, 0);
+  pool.Submit([&] {
+    util::ParallelFor(
+        0, 4,
+        [&](size_t lo, size_t hi) {
+          overlap.Enter(kOverlapPatience);
+          for (size_t i = lo; i < hi; ++i) {
+            util::ParallelFor(
+                0, 8,
+                [&](size_t jlo, size_t jhi) {
+                  for (size_t j = jlo; j < jhi; ++j) out[i * 8 + j] = 1;
+                },
+                /*min_parallel_size=*/1);
+          }
+        },
+        /*min_parallel_size=*/1);
+  });
+  pool.Wait();
+  EXPECT_GE(overlap.peak(), 2);
   for (int v : out) EXPECT_EQ(v, 1);
 }
 
+TEST(DeterminismTest, ParallelForRethrowsAfterEveryChunkFinished) {
+  // A throwing chunk must not unwind the caller while other chunks still run
+  // `body` from its frame: the exception waits for every claimed chunk.
+  util::ThreadPool& pool = util::GlobalPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
+  std::vector<int> marks(8, 0);
+  size_t first_hi = 0;
+  EXPECT_THROW(util::ParallelFor(
+                   0, marks.size(),
+                   [&](size_t lo, size_t hi) {
+                     if (lo == 0) {
+                       first_hi = hi;
+                       throw std::runtime_error("chunk 0");
+                     }
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     for (size_t i = lo; i < hi; ++i) marks[i] = 1;
+                   },
+                   /*min_parallel_size=*/1),
+               std::runtime_error);
+  pool.Wait();
+  ASSERT_GT(first_hi, 0u);
+  ASSERT_LT(first_hi, marks.size()) << "the call made a single chunk";
+  for (size_t i = first_hi; i < marks.size(); ++i) {
+    EXPECT_EQ(marks[i], 1) << "index " << i;
+  }
+}
+
 TEST(DeterminismTest, ParallelForFromForeignPoolWorkerFansOut) {
-  // The inline rule is per pool, not per process: a worker of a *different*
-  // pool (the serving dispatcher pattern) submitting ParallelFor work to the
-  // global pool must fan it out there, not silently serialize it.
-  if (util::GlobalPool().num_threads() <= 1) GTEST_SKIP();
+  // A worker of a *different* pool (the serving dispatcher pattern) calling
+  // ParallelFor must fan the chunks out over the global pool, not serialize
+  // them: two chunks are seen running at once. Had the call run inline, its
+  // one body call would never see a second.
+  util::ThreadPool& pool = util::GlobalPool();
+  if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
   util::ThreadPool foreign(1);
-  std::atomic<int> ran_on_foreign_worker{0};
+  Overlap overlap;
   std::atomic<int> cells{0};
   foreign.Submit([&] {
-    const std::thread::id me = std::this_thread::get_id();
     util::ParallelFor(
         0, 8,
         [&](size_t lo, size_t hi) {
-          if (std::this_thread::get_id() == me) ran_on_foreign_worker.fetch_add(1);
+          overlap.Enter(kOverlapPatience);
           cells.fetch_add(static_cast<int>(hi - lo));
         },
         /*min_parallel_size=*/1);
   });
   foreign.Wait();
+  pool.Wait();
   EXPECT_EQ(cells.load(), 8);
-  // The fanned-out chunks execute on global-pool workers while the foreign
-  // worker blocks on completion; had the call run inline we'd see the
-  // foreign worker's id here.
-  EXPECT_EQ(ran_on_foreign_worker.load(), 0);
+  EXPECT_GE(overlap.peak(), 2);
 }
 
 TEST(DeterminismTest, ServiceRequestsFromPoolWorkersDoNotDeadlock) {
-  // The micro-batcher drain path depends on global-pool workers never
-  // blocking on service futures: if an estimator callback running inside
-  // ParallelFor submits to the service and parks, the dispatcher's own
-  // fan-out has no workers left and the pool deadlocks. Such requests are
-  // answered inline — this hammers exactly that path.
+  // An estimator callback running inside ParallelFor that submits to the
+  // service is answered inline, not parked on a service future: a parked
+  // pool worker is one thread fewer for the dispatcher's own fan-out. This
+  // hammers exactly that path.
   Fixture& f = Shared();
   auto model = std::shared_ptr<const Uae>(f.uae.Clone());
   serve::ServiceConfig cfg;
@@ -195,8 +326,8 @@ TEST(DeterminismTest, WavefrontServiceTrafficFromPoolWorkersDoesNotDeadlock) {
   // Wavefront regression for the PR 3 inline-answer rule: the batched
   // EstimateCards path now advances all micro-batched queries through shared
   // wavefront forwards, whose wave fan-out itself calls ParallelFor. Pool
-  // workers submitting to the service must still be answered inline (their
-  // nested wave loop runs inline too — no workers left to park on), the
+  // workers submitting to the service must still be answered inline (a
+  // nested fan-out of theirs claims its own chunks, so it parks nobody), the
   // dispatcher's wavefront fan-out must still spread over the global pool,
   // and every answer must stay the bitwise-pure function of (model, query).
   Fixture& f = Shared();

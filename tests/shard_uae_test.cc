@@ -4,16 +4,23 @@
 //  * shard-sum estimates stay accurate for any shard count on an
 //    exact-oracle-labeled workload (invariance within q-error tolerance);
 //  * pruning is exact on partition-targeted queries and per-shard fine-tuning
-//    leaves untouched shards' parameters bit-identical.
+//    leaves untouched shards' parameters bit-identical;
+//  * shards build and answer concurrently, bitwise as if one at a time.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "nn/serialize.h"
 #include "shard/sharded_uae.h"
 #include "util/quantiles.h"
+#include "util/threadpool.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
 #include "workload/metrics.h"
@@ -135,6 +142,71 @@ TEST(ShardedUaeTest, BatchedMatchesSingleAndPrunedFanoutCounts) {
   int cand = sharded.partitioner().CandidateShards(eq)[0];
   EXPECT_DOUBLE_EQ(sharded.EstimateCard(eq),
                    sharded.shard_model(cand).EstimateCard(eq));
+
+  // One-query batches, the served shape: pruned to one shard, and fanned out
+  // to every shard side by side (a range on another column leaves the
+  // partition column free). Both equal the serial EstimateCard.
+  const int other = (pcol + 1) % f.table.num_cols();
+  const int32_t other_domain = f.table.column(other).domain();
+  workload::Query fanned(f.table.num_cols());
+  fanned.AddPredicate({other, workload::Op::kLe, other_domain / 2, {}},
+                      other_domain);
+  ASSERT_EQ(sharded.partitioner().CandidateShards(fanned).size(), 4u);
+  for (const workload::Query& q : {eq, fanned}) {
+    EXPECT_DOUBLE_EQ(
+        sharded.EstimateCards(std::span<const workload::Query>(&q, 1))[0],
+        sharded.EstimateCard(q));
+  }
+}
+
+TEST(ShardedUaeTest, ShardsBuildConcurrentlyAndBitwiseAsAlone) {
+  // The constructor calls the factory for all shards at once. Each call waits
+  // (bounded) for a second to be running, so shards built one at a time
+  // record a peak of 1 however long they take.
+  Fixture f;
+  const core::UaeConfig base = SmallConfig();
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  ShardedServableConfig sc;
+  sc.partition.num_shards = 4;
+  sc.base_seed = base.seed;
+  ShardedServable sharded(
+      f.table, sc,
+      [&](const data::Table& shard_table, int, uint64_t shard_seed) {
+        const int now = running.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+        while (peak.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        core::UaeConfig c = base;
+        c.seed = shard_seed;
+        auto uae = std::make_shared<core::Uae>(shard_table, c);
+        uae->TrainDataEpochs(1);
+        running.fetch_sub(1);
+        return uae;
+      });
+  ASSERT_EQ(sharded.num_shards(), 4);
+  if (util::GlobalPool().num_threads() >= 2) {
+    EXPECT_GE(peak.load(), 2);
+  }
+
+  // Which thread trained a shard changes no bit: each shard equals a model
+  // trained alone on this thread from the same rows and seed.
+  std::vector<data::Table> tables =
+      sharded.partitioner().Materialize(f.table, f.table.name());
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    core::UaeConfig c = base;
+    c.seed = MixShardSeed(base.seed, s);
+    core::Uae alone(tables[static_cast<size_t>(s)], c);
+    alone.TrainDataEpochs(1);
+    EXPECT_EQ(ShardParams(sharded, s),
+              nn::SerializeParams(alone.model().Parameters()))
+        << "shard " << s;
+  }
 }
 
 TEST(ShardedUaeTest, CloneIsIndependentAndBitIdentical) {

@@ -94,9 +94,10 @@ TEST(ExecutorTest, WeightedCount) {
   EXPECT_NEAR(w2, 1.0 + 0.0625, 1e-12);
 }
 
-// Float sums do not commute, so the weighted count must not depend on how
-// the pool chunks the scan. The test thread fans out over the pool; a pool
-// worker takes ParallelFor's inline path and sums the whole range at once.
+// Float sums do not commute, so the weighted count must not depend on which
+// threads run the scan. From the test thread or from a pool worker, the
+// caller and pool helpers claim the block chunks in whatever order they
+// reach them; the block sums are still added in block order.
 TEST(ExecutorTest, WeightedCountIsIndependentOfTheCallingThread) {
   util::ThreadPool& pool = util::GlobalPool();
   if (pool.num_threads() < 2) GTEST_SKIP() << "needs a multi-threaded pool";
