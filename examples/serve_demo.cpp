@@ -34,7 +34,6 @@ int main() {
   // 2) Stand the service up on a frozen snapshot of the live model.
   serve::ServiceConfig scfg;
   scfg.max_batch = 32;
-  scfg.max_wait_us = 200;
   serve::EstimationService service(
       std::shared_ptr<const core::Uae>(live->Clone()), scfg);
 

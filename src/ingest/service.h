@@ -6,9 +6,9 @@
 // Why a single apply thread: the data-layer delta region is single-writer by
 // design (lock-free readers synchronize on one published row count). The
 // queue gives producers the multi-producer surface — it is a
-// util::BatchQueue, the estimation service's queue type, so batch admission
-// and backpressure are the same — while keeping the actual mutation serial
-// and therefore cheap.
+// util::BatchQueue, the estimation service's queue type, so backpressure is
+// the same, but unlike that queue it waits up to a deadline to fill a batch —
+// while keeping the actual mutation serial and therefore cheap.
 //
 // Locking: appends never block readers. The ONLY reader-disturbing operation
 // is compaction (Table::FoldDelta reallocates the base code vectors), so the

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 #include <vector>
 
@@ -14,8 +15,9 @@ EstimationService::EstimationService(
     : config_(config),
       slot_(ModelSnapshot{0, std::move(initial_model)}),
       cache_(config.cache),
+      // No deadline: the dispatcher never parks on a partial batch.
       queue_(config.queue_capacity, config.max_batch,
-             std::chrono::microseconds(config.max_wait_us)) {
+             std::chrono::microseconds(0)) {
   UAE_CHECK(CurrentSnapshot()->model != nullptr);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
@@ -103,20 +105,27 @@ std::future<ServeResult> EstimationService::Submit(EstimateRequest request) {
 
   // A global-pool worker is not parked on the dispatcher: the dispatcher
   // fans batches across that same pool, and a parked worker is one thread
-  // fewer to run them. Answer on the calling thread.
-  if (util::GlobalPool().InThisPool()) {
-    inline_requests_.fetch_add(1, std::memory_order_relaxed);
-    return ReadyFuture(EstimateInline(request));
+  // fewer to run them. Answer on the calling thread. So is a request the
+  // queue refuses because the service is shutting down; a refused Push
+  // leaves `request` untouched, so its promise still backs the future.
+  std::future<ServeResult> future = request.promise.get_future();
+  if (util::GlobalPool().InThisPool() || !queue_.Push(std::move(request))) {
+    AnswerInline(request);
   }
+  return future;
+}
 
-  std::future<ServeResult> queued_future = request.promise.get_future();
-  if (!queue_.Push(std::move(request))) {
-    // Service is shutting down; degrade to an inline answer. A refused Push
-    // leaves `request` untouched, so its promise still backs the future.
-    inline_requests_.fetch_add(1, std::memory_order_relaxed);
-    request.promise.set_value(EstimateInline(request));
+void EstimationService::AnswerInline(EstimateRequest& request) {
+  inline_requests_.fetch_add(1, std::memory_order_relaxed);
+  ServeResult result;
+  try {
+    result = EstimateInline(request);
+  } catch (...) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    request.promise.set_exception(std::current_exception());
+    return;
   }
-  return queued_future;
+  request.promise.set_value(result);
 }
 
 std::future<ServeResult> EstimationService::EstimateAsync(
@@ -171,7 +180,7 @@ void EstimationService::RunBatch(std::vector<EstimateRequest> batch) {
   }
 
   // Queue-wait accounting: how long each request sat between Push and this
-  // dispatch (the latency the queue's deadline bounds).
+  // dispatch.
   const auto dispatched_at = std::chrono::steady_clock::now();
   for (const EstimateRequest& request : batch) {
     const auto wait = dispatched_at - request.enqueued_at;
@@ -216,34 +225,45 @@ void EstimationService::RunBatch(std::vector<EstimateRequest> batch) {
     }
   }
 
-  if (!miss_queries.empty()) {
-    std::vector<double> cards = snap->model->EstimateCards(miss_queries);
-    batched_queries_.fetch_add(static_cast<uint64_t>(miss_queries.size()),
+  // One model call per request kind. A call that throws fails exactly the
+  // requests it was answering: they get its exception, are not cached and
+  // are not attributed to the generation; the other call's answers and the
+  // batch's cache hits stand.
+  std::vector<std::exception_ptr> errors(batch.size());
+  uint64_t failed = 0;
+  auto answer = [&](const std::vector<size_t>& index, auto&& estimate) {
+    if (index.empty()) return;
+    std::vector<double> cards;
+    try {
+      cards = estimate();
+    } catch (...) {
+      const std::exception_ptr error = std::current_exception();
+      for (size_t i : index) errors[i] = error;
+      failed += index.size();
+      return;
+    }
+    batched_queries_.fetch_add(static_cast<uint64_t>(index.size()),
                                std::memory_order_relaxed);
-    for (size_t m = 0; m < miss_index.size(); ++m) {
-      results[miss_index[m]] = {cards[m], generation, false};
+    for (size_t m = 0; m < index.size(); ++m) {
+      results[index[m]] = {cards[m], generation, false};
       if (config_.cache_enabled) {
-        cache_.Insert(batch[miss_index[m]].fingerprint, generation, cards[m]);
+        cache_.Insert(batch[index[m]].fingerprint, generation, cards[m]);
       }
     }
-  }
+  };
+  answer(miss_index, [&] { return snap->model->EstimateCards(miss_queries); });
+  answer(join_miss_index,
+         [&] { return snap->model->EstimateJoinCards(join_miss_queries); });
 
-  if (!join_miss_queries.empty()) {
-    std::vector<double> cards = snap->model->EstimateJoinCards(join_miss_queries);
-    batched_queries_.fetch_add(static_cast<uint64_t>(join_miss_queries.size()),
-                               std::memory_order_relaxed);
-    for (size_t m = 0; m < join_miss_index.size(); ++m) {
-      results[join_miss_index[m]] = {cards[m], generation, false};
-      if (config_.cache_enabled) {
-        cache_.Insert(batch[join_miss_index[m]].fingerprint, generation,
-                      cards[m]);
-      }
-    }
-  }
-
-  CountAnswered(generation, static_cast<uint64_t>(batch.size()));
+  failed_.fetch_add(failed, std::memory_order_relaxed);
+  const uint64_t answered = static_cast<uint64_t>(batch.size()) - failed;
+  if (answered > 0) CountAnswered(generation, answered);
   for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i].promise.set_value(results[i]);
+    if (errors[i]) {
+      batch[i].promise.set_exception(errors[i]);
+    } else {
+      batch[i].promise.set_value(results[i]);
+    }
   }
 }
 
@@ -256,6 +276,7 @@ ServiceStats EstimationService::Stats() const {
   s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
   s.max_batch_observed = max_batch_observed_.load(std::memory_order_relaxed);
   s.snapshots_published = snapshots_published_.load(std::memory_order_relaxed);
+  s.failed = failed_.load(std::memory_order_relaxed);
   return s;
 }
 

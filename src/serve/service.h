@@ -2,10 +2,12 @@
 //
 // Many client threads call Estimate()/EstimateAsync() with single queries —
 // or EstimateJoin()/EstimateJoinAsync() with join sub-plans from the query
-// optimizer; the service coalesces them into micro-batches through its
-// request queue (util::BatchQueue) and fans each batch through
-// EstimateCards/EstimateJoinCards, which parallelize progressive sampling
-// across the global pool. Because every estimate is a
+// optimizer; the service queues them (util::BatchQueue) and one dispatcher
+// fans each batch through EstimateCards/EstimateJoinCards, which parallelize
+// progressive sampling across the global pool. The dispatcher takes whatever
+// has queued, up to max_batch, as soon as it is free: it never parks on a
+// partial batch, so a lone request runs at once, and the requests that
+// arrive while one batch runs make up the next. Because every estimate is a
 // pure function of (model, query) — per-query RNG derived from the query
 // fingerprint — the served results are bit-identical to sequential
 // EstimateCard calls no matter how requests interleave, batch, or hit the
@@ -17,14 +19,19 @@
 // result cache keys on (fingerprint, generation) so stale hits are
 // impossible by construction.
 //
+// Model faults: an exception thrown by the model fails only the requests of
+// the model call that threw — their futures rethrow it — and the service
+// keeps serving. A failed request is neither cached nor attributed to a
+// generation; ServiceStats::failed counts it.
+//
 // Pool-worker requests: a request issued *from a global-pool worker* (e.g.
 // an estimator callback inside ParallelFor) is answered inline against the
 // current snapshot instead of being queued. Deadlock freedom does not rest
 // on this: the dispatcher's own ParallelFor claims chunks itself, so it
 // finishes even if every pool worker is parked. The inline path is there
 // because a parked worker is a lost pool thread: queued, it would idle
-// through the batch deadline while the dispatcher ran its batch with one
-// worker fewer. perfbench's serve.inline_frac counts these answers.
+// while the dispatcher ran its batch with one worker fewer. perfbench's
+// serve.inline_frac counts these answers.
 #pragma once
 
 #include <array>
@@ -70,16 +77,14 @@ struct EstimateRequest {
   uint32_t join_mask = 0;  ///< 0: single-table; else JoinQuery::table_mask.
   uint64_t fingerprint = 0;
   std::promise<ServeResult> promise;
-  /// Stamped by util::BatchQueue::Push at admission. Anchors the batch
-  /// deadline and feeds the queue-wait observability hooks; callers leave it
-  /// alone.
+  /// Stamped by util::BatchQueue::Push at admission. Feeds the queue-wait
+  /// observability hooks; callers leave it alone.
   std::chrono::steady_clock::time_point enqueued_at{};
 };
 
 struct ServiceConfig {
-  // Micro-batch admission policy.
-  size_t max_batch = 64;       ///< Flush when this many requests coalesced.
-  uint64_t max_wait_us = 200;  ///< ... or when the oldest waited this long.
+  // Micro-batch admission policy: the free dispatcher takes what is queued.
+  size_t max_batch = 64;         ///< Most requests one batch takes.
   size_t queue_capacity = 1024;  ///< Bounded queue; Push blocks when full.
 
   // Result cache.
@@ -106,6 +111,7 @@ struct ServiceStats {
   uint64_t batched_queries = 0; ///< Model-evaluated queries inside batches.
   uint64_t max_batch_observed = 0;
   uint64_t snapshots_published = 0;  ///< Excludes the initial snapshot.
+  uint64_t failed = 0;  ///< Requests whose model call threw.
 };
 
 class EstimationService {
@@ -120,12 +126,14 @@ class EstimationService {
 
   /// Blocking single-query estimate (cardinality + attribution).
   /// Thread-safe; callable from any thread including global-pool workers
-  /// (those are answered inline — see the deadlock note above).
+  /// (those are answered inline — see the note above). Rethrows the model's
+  /// exception if its call failed.
   ServeResult Estimate(const workload::Query& query);
   /// Convenience: just the cardinality.
   double EstimateCard(const workload::Query& query) { return Estimate(query).card; }
   /// Non-blocking: the future resolves when the micro-batch containing the
-  /// query completes (immediately for cache hits and inline callers).
+  /// query completes (immediately for cache hits and inline callers). A
+  /// model exception is rethrown by the future's get(), never by this call.
   std::future<ServeResult> EstimateAsync(const workload::Query& query);
 
   // ---- Join sub-plan estimation ---------------------------------------------
@@ -176,9 +184,10 @@ class EstimationService {
   /// Distribution of Push -> dispatch queue waits over batched requests.
   LatencySnapshot QueueLatency() const { return queue_latency_.Snapshot(); }
 
-  // Per-generation accounting: every response is attributed to exactly one
-  // snapshot generation (the one that produced — or cached — its value), so
-  // summing these counters over all generations equals Stats().requests.
+  // Per-generation accounting: every answered request is attributed to
+  // exactly one snapshot generation (the one that produced — or cached — its
+  // value), and a failed one to none, so summing these counters over all
+  // generations plus Stats().failed equals Stats().requests.
   // This is what the online adaptation layer reads to see how much traffic
   // each published snapshot actually answered.
   /// (generation, answered) pairs sorted by generation.
@@ -194,10 +203,15 @@ class EstimationService {
   /// Answers one request synchronously on the calling thread (cache-aware);
   /// dispatches on request.join_mask.
   ServeResult EstimateInline(const EstimateRequest& request);
+  /// Counts an inline answer and settles request.promise with
+  /// EstimateInline's result, or with the model's exception.
+  void AnswerInline(EstimateRequest& request);
   /// Attributes `count` responses to `generation`.
   void CountAnswered(uint64_t generation, uint64_t count);
   /// Dispatcher: drains micro-batches until the queue closes.
   void DispatchLoop();
+  /// Answers one batch: cache hits, then one model call per request kind.
+  /// A call that throws fails its own requests only.
   void RunBatch(std::vector<EstimateRequest> batch);
 
   ServiceConfig config_;
@@ -213,6 +227,7 @@ class EstimationService {
   std::atomic<uint64_t> batched_queries_{0};
   std::atomic<uint64_t> max_batch_observed_{0};
   std::atomic<uint64_t> snapshots_published_{0};
+  std::atomic<uint64_t> failed_{0};
   LatencyHistogram queue_latency_;  ///< Push -> dispatch wait per request.
 
   /// Per-generation response counters, striped by caller thread so the

@@ -10,7 +10,10 @@
 // `max_wait` has elapsed since the batch's OLDEST item was pushed — the
 // classic size-or-deadline coalescing policy, with the deadline anchored at
 // admission so a lagging consumer cannot extend an item's wait beyond
-// max_wait from the moment it entered the queue. Close() wakes everyone and
+// max_wait from the moment it entered the queue. A zero `max_wait` takes what
+// is queued and never parks: the estimation service runs that way, so its
+// batches are whatever arrived while the previous one ran, and the ingest
+// queue is the one that waits out a deadline. Close() wakes everyone and
 // makes further Push calls fail so the consumer can drain and exit.
 //
 // `T` has a `std::chrono::steady_clock::time_point enqueued_at` field that

@@ -296,7 +296,6 @@ TEST(DeterminismTest, ServiceRequestsFromPoolWorkersDoNotDeadlock) {
   auto model = std::shared_ptr<const Uae>(f.uae.Clone());
   serve::ServiceConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 50;
   serve::EstimationService service(model, cfg);
 
   std::vector<double> sequential;
@@ -333,8 +332,9 @@ TEST(DeterminismTest, WavefrontServiceTrafficFromPoolWorkersDoesNotDeadlock) {
   Fixture& f = Shared();
   auto model = std::shared_ptr<const Uae>(f.uae.Clone());
   serve::ServiceConfig cfg;
-  cfg.max_batch = 8;       // Coalesce enough queries that waves really batch.
-  cfg.max_wait_us = 200;
+  // The only queued client is one blocking thread, so each of its batches
+  // holds one request; the waves batch over that query's samples.
+  cfg.max_batch = 8;
   serve::EstimationService service(model, cfg);
 
   std::vector<double> sequential;

@@ -2,14 +2,23 @@
 // queries through the micro-batched service must be bit-identical to the
 // sequential Uae::EstimateCard path (PR 1's per-query RNG determinism),
 // with the result cache enabled and disabled, across batch compositions.
-// Also covers the service's request queue (util::BatchQueue: admission
-// policy, backpressure, close) and the sharded LRU cache in isolation.
+// Also pins the dispatch policy (no deadline: a lone request runs at once,
+// and requests queued behind a running batch share the next one), model
+// fault containment, the service's request queue (util::BatchQueue:
+// admission policy, backpressure, close) and the sharded LRU cache in
+// isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -18,6 +27,7 @@
 #include "serve/result_cache.h"
 #include "serve/service.h"
 #include "util/batch_queue.h"
+#include "util/threadpool.h"
 #include "workload/generator.h"
 
 namespace uae::serve {
@@ -86,7 +96,6 @@ TEST(ServeServiceTest, ConcurrentParityWithCache) {
   Fixture& f = Shared();
   ServiceConfig cfg;
   cfg.max_batch = 16;
-  cfg.max_wait_us = 100;
   EstimationService service(f.uae, cfg);
   HammerAndCheck(service, f, /*num_threads=*/8, /*rounds=*/3);
 
@@ -103,7 +112,6 @@ TEST(ServeServiceTest, ConcurrentParityWithoutCache) {
   ServiceConfig cfg;
   cfg.cache_enabled = false;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 100;
   EstimationService service(f.uae, cfg);
   HammerAndCheck(service, f, /*num_threads=*/6, /*rounds=*/2);
 
@@ -136,14 +144,14 @@ TEST(ServeServiceTest, AsyncBatchSubmissionMatchesSequential) {
   Fixture& f = Shared();
   ServiceConfig cfg;
   cfg.max_batch = 32;
-  cfg.max_wait_us = 500;
   EstimationService service(f.uae, cfg);
   std::vector<std::future<ServeResult>> futures;
   for (const auto& q : f.queries) futures.push_back(service.EstimateAsync(q));
   for (size_t i = 0; i < futures.size(); ++i) {
     EXPECT_DOUBLE_EQ(futures[i].get().card, f.sequential[i]);
   }
-  // One submitter + generous deadline: requests must have coalesced.
+  // One submitter outpaces the dispatcher: the requests it queues while a
+  // batch runs coalesce into the next one.
   EXPECT_GT(service.Stats().max_batch_observed, 1u);
 }
 
@@ -152,7 +160,6 @@ TEST(ServeServiceTest, TinyQueueBackpressureStillCorrect) {
   ServiceConfig cfg;
   cfg.queue_capacity = 2;  // Forces Push to block and batches to stay small.
   cfg.max_batch = 4;
-  cfg.max_wait_us = 50;
   EstimationService service(f.uae, cfg);
   HammerAndCheck(service, f, /*num_threads=*/4, /*rounds=*/1);
 }
@@ -236,7 +243,6 @@ TEST(ServeServiceTest, QueueLatencyAndDepthObservability) {
   Fixture& f = Shared();
   ServiceConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_wait_us = 200;
   cfg.cache_enabled = false;  // Force every request through the queue.
   EstimationService service(f.uae, cfg);
   for (size_t i = 0; i < 3; ++i) {
@@ -247,6 +253,215 @@ TEST(ServeServiceTest, QueueLatencyAndDepthObservability) {
   EXPECT_GE(lat.p99_us, lat.p50_us);
   EXPECT_GE(static_cast<double>(lat.max_us) * 1.125, lat.p99_us);
   EXPECT_EQ(service.QueueDepth(), 0u);  // Blocking calls leave the queue idle.
+}
+
+// ---- Dispatch policy and model faults -------------------------------------
+// A stand-in model that costs nothing: it answers CodeQuery(c) with c,
+// single-table or join, and throws on kFaultCode.
+constexpr int32_t kFaultCode = 99;
+constexpr char kFaultMessage[] = "stub model fault";
+
+workload::Query CodeQuery(int32_t code) {
+  workload::Query query(1);
+  workload::Constraint& c = query.mutable_constraint(0);
+  c.kind = workload::Constraint::Kind::kRange;
+  c.lo = c.hi = code;
+  return query;
+}
+
+class StubModel : public core::ServableModel {
+ public:
+  double EstimateCard(const workload::Query& query) const override {
+    const int32_t code = query.constraint(0).lo;
+    if (code == kFaultCode) throw std::runtime_error(kFaultMessage);
+    return static_cast<double>(code);
+  }
+  bool SupportsJoinQueries() const override { return true; }
+  double EstimateJoinCard(const workload::JoinQuery& query) const override {
+    return EstimateCard(query.pred);
+  }
+  std::vector<double> EstimateJoinCards(
+      std::span<const workload::JoinQuery> queries) const override {
+    std::vector<double> cards;
+    for (const workload::JoinQuery& q : queries) {
+      cards.push_back(EstimateJoinCard(q));
+    }
+    return cards;
+  }
+  size_t SizeBytes() const override { return 0; }
+  size_t num_rows() const override { return 1000; }
+  std::shared_ptr<core::ServableModel> CloneServable() const override {
+    return std::make_shared<StubModel>();
+  }
+};
+
+/// A StubModel whose EstimateCards records each call's size and holds its
+/// first call until Open() (for at most 10 s, so a failed test cannot hang).
+class GatedStubModel : public StubModel {
+ public:
+  std::vector<double> EstimateCards(
+      std::span<const workload::Query> queries) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    sizes_.push_back(queries.size());
+    if (sizes_.size() == 1) {
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(10), [this] { return open_; });
+    }
+    lock.unlock();
+    return StubModel::EstimateCards(queries);
+  }
+  /// Waits (at most 10 s) until the first EstimateCards call is held.
+  bool WaitEntered() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return entered_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  std::vector<size_t> sizes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sizes_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::vector<size_t> sizes_;
+  mutable bool entered_ = false;
+  bool open_ = false;
+};
+
+/// Expects `future` to rethrow the stub model's fault. It reads through a
+/// shared_future, which holds the shared state, and so the exception, until
+/// the catch has read it: std::future::get() drops its state while
+/// unwinding, and the exception's reference count lives in the uninstrumented
+/// C++ runtime, so TSan would take the dispatcher's later release of its
+/// promise for a race with that read.
+void ExpectFault(std::future<ServeResult> future) {
+  const std::shared_future<ServeResult> shared = future.share();
+  try {
+    (void)shared.get();
+    ADD_FAILURE() << "the model's exception did not reach the future";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), kFaultMessage);
+  }
+}
+
+uint64_t TotalAnswered(const EstimationService& service) {
+  uint64_t answered = 0;
+  for (const auto& [gen, count] : service.AnsweredByGeneration()) {
+    answered += count;
+  }
+  return answered;
+}
+
+TEST(ServeServiceTest, LoneRequestIsNotHeldForCompany) {
+  // A free dispatcher runs a lone request at once instead of waiting for
+  // others to share its batch. The model costs nothing and the cache is off,
+  // so each round trip is queueing and thread handoff alone.
+  ServiceConfig cfg;
+  cfg.cache_enabled = false;
+  EstimationService service(std::make_shared<StubModel>(), cfg);
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int32_t code = 1; code <= 32; ++code) {
+    const auto start = std::chrono::steady_clock::now();
+    const ServeResult result = service.Estimate(CodeQuery(code));
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+    EXPECT_EQ(result.card, static_cast<double>(code));
+  }
+  EXPECT_EQ(service.Stats().batches, 32u);
+  EXPECT_LT(fastest, std::chrono::microseconds(200));
+}
+
+TEST(ServeServiceTest, RequestsQueuedWhileABatchRunsShareTheNextBatch) {
+  // Batches form from the requests that arrive while the dispatcher is busy:
+  // A runs alone, and B1-B5, queued while A's model call is held, make up
+  // the next batch together.
+  auto model = std::make_shared<GatedStubModel>();
+  ServiceConfig cfg;
+  cfg.cache_enabled = false;
+  EstimationService service(model, cfg);
+  std::vector<std::future<ServeResult>> futures;
+  futures.push_back(service.EstimateAsync(CodeQuery(1)));
+  ASSERT_TRUE(model->WaitEntered());
+  for (int32_t code = 2; code <= 6; ++code) {
+    futures.push_back(service.EstimateAsync(CodeQuery(code)));
+  }
+  model->Open();
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().card, static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(model->sizes(), (std::vector<size_t>{1, 5}));
+}
+
+TEST(ServeServiceTest, ModelExceptionFailsItsRequestsAndServingContinues) {
+  EstimationService service(std::make_shared<StubModel>());
+  const workload::Query fault = CodeQuery(kFaultCode);
+
+  // Queued: each failed call's future rethrows, and the dispatcher lives on.
+  ExpectFault(service.EstimateAsync(fault));
+  ExpectFault(service.EstimateJoinAsync({/*table_mask=*/1, fault}));
+  const ServeResult good = service.Estimate(CodeQuery(1));
+  EXPECT_EQ(good.card, 1.0);
+  EXPECT_EQ(good.generation, 1u);
+  EXPECT_EQ(service.EstimateJoin({/*table_mask=*/1, CodeQuery(1)}).card, 1.0);
+  // Not cached: the fault query reaches the model, and throws, again.
+  ExpectFault(service.EstimateAsync(fault));
+
+  // Inline, from a pool worker: EstimateAsync returns and its future rethrows.
+  std::future<ServeResult> inline_future;
+  bool submit_threw = false;
+  util::GlobalPool().Submit([&] {
+    try {
+      inline_future = service.EstimateAsync(fault);
+    } catch (...) {
+      submit_threw = true;
+    }
+  });
+  util::GlobalPool().Wait();
+  EXPECT_FALSE(submit_threw);
+  ExpectFault(std::move(inline_future));
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.inline_requests, 1u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(service.AnsweredForGeneration(1), 2u);
+  EXPECT_EQ(TotalAnswered(service) + stats.failed, stats.requests);
+}
+
+TEST(ServeServiceTest, FailedCallLeavesTheRestOfItsBatchStanding) {
+  // One batch, three outcomes: the single-table call throws and fails both
+  // of its requests, while the batch's join call and its cache hit stand.
+  auto model = std::make_shared<GatedStubModel>();
+  EstimationService service(model);
+  std::future<ServeResult> first = service.EstimateAsync(CodeQuery(1));
+  ASSERT_TRUE(model->WaitEntered());
+  std::future<ServeResult> fault = service.EstimateAsync(CodeQuery(kFaultCode));
+  std::future<ServeResult> sharer = service.EstimateAsync(CodeQuery(2));
+  std::future<ServeResult> join =
+      service.EstimateJoinAsync({/*table_mask=*/1, CodeQuery(3)});
+  std::future<ServeResult> repeat = service.EstimateAsync(CodeQuery(1));
+  model->Open();
+
+  EXPECT_EQ(first.get().card, 1.0);
+  ExpectFault(std::move(fault));
+  ExpectFault(std::move(sharer));
+  EXPECT_EQ(join.get().card, 3.0);
+  const ServeResult hit = repeat.get();
+  EXPECT_EQ(hit.card, 1.0);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(model->sizes(), (std::vector<size_t>{1, 2}));
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(service.AnsweredForGeneration(1), 3u);
+  EXPECT_EQ(TotalAnswered(service) + stats.failed, stats.requests);
 }
 
 // ---- Request-queue unit coverage -------------------------------------------

@@ -94,7 +94,6 @@ TEST(ServeSwapTest, EveryResponseAttributableToOnePublishedSnapshot) {
 
   ServiceConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_wait_us = 100;
   EstimationService service(f.variants[0], cfg);
 
   std::atomic<size_t> completed{0};
